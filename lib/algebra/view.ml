@@ -141,21 +141,28 @@ let derive ?check schema ~view ?name expr =
    makes the derived type a supertype of its source, the Base case's
    deep extent already contains everything.
 
-   A Project/Select chain over a Base flattens to (base type, combined
-   predicate) — projection contributes nothing at instance level — and
-   runs through the vectorized [Pred.scan] instead of per-object
-   filtering.  The conjunction keeps inner-predicate-first order, so
-   per-row evaluation (and short-circuiting) matches the nested
-   filters it replaces. *)
+   [flatten] peels the Project/Select chain off an expression —
+   projection contributes nothing at instance level — leaving the
+   operand underneath and the chain's combined predicate.  Over a Base
+   that is one vectorized [Pred.scan] instead of per-object filtering.
+   The conjunction keeps inner-predicate-first order, so per-row
+   evaluation (and short-circuiting) matches the nested filters it
+   replaces.  [instances] and the row-local [mem] share it, so the two
+   cannot disagree on what a chain means. *)
+type operand =
+  | Extent of Type_name.t
+  | Union of expr * expr
+  | Pairs  (** a join: no identity instances *)
+
 let rec flatten = function
-  | Base n -> Some (n, None)
+  | Base n -> (Extent n, None)
+  | Generalize (a, b) -> (Union (a, b), None)
+  | Join _ -> (Pairs, None)
   | Project (e, _) -> flatten e
   | Select (e, p) -> (
       match flatten e with
-      | Some (n, None) -> Some (n, Some p)
-      | Some (n, Some q) -> Some (n, Some (Pred.And (q, p)))
-      | None -> None)
-  | Generalize _ | Join _ -> None
+      | op, None -> (op, Some p)
+      | op, Some q -> (op, Some (Pred.And (q, p))))
 
 let rec has_join = function
   | Base _ -> false
@@ -163,25 +170,39 @@ let rec has_join = function
   | Generalize (a, b) -> has_join a || has_join b
   | Join _ -> true
 
+(* a join instance is a pair of operand instances, not an existing
+   object; only Join.materialize over named operand types gives joins a
+   data plane *)
+let no_identity () =
+  Error.raise_
+    (Invariant_violation
+       "join views have no identity instances; use Join.materialize")
+
 let rec instances db expr =
   match flatten expr with
-  | Some (n, None) -> Tdp_store.Database.extent db n
-  | Some (n, Some p) -> Pred.scan db n p
-  | None -> (
-      match expr with
-      | Base _ -> assert false (* a Base always flattens *)
-      | Project (e, _) -> instances db e
-      | Select (e, pred) ->
-          List.filter (fun oid -> Pred.eval db oid pred) (instances db e)
-      | Generalize (a, b) ->
-          List.sort_uniq Tdp_store.Oid.compare (instances db a @ instances db b)
-      | Join _ ->
-          (* a join instance is a pair of operand instances, not an
-             existing object; only Join.materialize over named operand
-             types gives joins a data plane *)
-          Error.raise_
-            (Invariant_violation
-               "join views have no identity instances; use Join.materialize"))
+  | Extent n, None -> Tdp_store.Database.extent db n
+  | Extent n, Some p -> Pred.scan db n p
+  | Union (a, b), pred ->
+      let oids =
+        List.sort_uniq Tdp_store.Oid.compare (instances db a @ instances db b)
+      in
+      Option.fold ~none:oids
+        ~some:(fun p -> List.filter (fun oid -> Pred.eval db oid p) oids)
+        pred
+  | Pairs, _ -> no_identity ()
+
+(* The join check comes first: a join anywhere raises, even where the
+   [||] below would short-circuit past it. *)
+let mem db expr oid =
+  let rec go expr =
+    let op, pred = flatten expr in
+    (match op with
+    | Extent n -> Tdp_store.Database.in_extent db n oid
+    | Union (a, b) -> go a || go b
+    | Pairs -> no_identity ())
+    && Option.fold ~none:true ~some:(Pred.eval db oid) pred
+  in
+  if has_join expr then no_identity () else go expr
 
 (* Materialization: copy each view instance into a fresh object of the
    derived view type, carrying exactly the view's attributes. *)

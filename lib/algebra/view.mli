@@ -58,11 +58,19 @@ val derive :
 val has_join : expr -> bool
 
 (** View instances with identity semantics (projection keeps OIDs,
-    selection filters).
+    selection filters), in OID order.
     @raise Error.E on a [Join] view: a join instance is a {e pair} of
     operand instances, so joins have no identity semantics — use
     {!Join.materialize} over the operand types instead. *)
 val instances : Tdp_store.Database.t -> expr -> Tdp_store.Oid.t list
+
+(** [mem db expr oid]: is [oid] in [instances db expr]?  Decided from
+    that row alone — its type and its own slots — with the same
+    deep-extent and {!Pred.eval} semantics; [false] for a dead OID.
+    Materialized-view maintenance uses it to re-check only the rows
+    that changed.
+    @raise Error.E on a [Join] view, as {!instances}. *)
+val mem : Tdp_store.Database.t -> expr -> Tdp_store.Oid.t -> bool
 
 (** Copy view instances into fresh objects of [view_type].
     @raise Error.E on a [Join] view, as {!instances}. *)

@@ -434,42 +434,50 @@ let pp_principal ppf p =
 (* Drivers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Solve a whole program in declaration order.  A view that fails is
-   reported and bound to a fresh unconstrained row, so later views can
-   still be solved (their own errors are not masked by a cascade). *)
+(* Solve one view against the environment built so far and bind it
+   there.  A view that fails is reported and bound to a fresh
+   unconstrained row, so later views can still be solved (their own
+   errors are not masked by a cascade). *)
+let solve_view st inlined (name, node) =
+  let pipeline = Pipeline.inline inlined node in
+  let res =
+    match walk st ~view:name node with
+    | r, t ->
+        Hashtbl.replace st.env name (r, t);
+        Ok r
+    | exception Type_error e ->
+        Metrics.incr m_errors;
+        let r = new_cell st (Open Attr_name.Set.empty) Plain in
+        let t = new_tvar st in
+        Hashtbl.replace st.env name (r, t);
+        Error e
+  in
+  (pipeline, res)
+
+let principal st ~name ~pipeline res =
+  Result.map (fun r -> principal_of st ~name ~pipeline r) res
+
+(* Solve a whole program in declaration order; principals are read
+   once every view is solved. *)
 let infer_program prog =
   Metrics.time m_solve @@ fun () ->
   let st = create () in
-  let _, results =
+  let _, solved =
     List.fold_left
       (fun (inlined, acc) (name, node) ->
-        let pipeline = Pipeline.inline inlined node in
-        let res =
-          match walk st ~view:name node with
-          | r, t ->
-              Hashtbl.replace st.env name (r, t);
-              Ok (r, t)
-          | exception Type_error e ->
-              Metrics.incr m_errors;
-              let r = new_cell st (Open Attr_name.Set.empty) Plain in
-              let t = new_tvar st in
-              Hashtbl.replace st.env name (r, t);
-              Error e
-        in
+        let pipeline, res = solve_view st inlined (name, node) in
         ((name, pipeline) :: inlined, (name, pipeline, res) :: acc))
       ([], []) prog
   in
   List.rev_map
-    (fun (name, pipeline, res) ->
-      match res with
-      | Ok (r, _) -> (name, Ok (principal_of st ~name ~pipeline r))
-      | Error e -> (name, Error e))
-    results
+    (fun (name, pipeline, res) -> (name, principal st ~name ~pipeline res))
+    solved
 
 let infer ?(name = "pipeline") node =
-  match infer_program [ (name, node) ] with
-  | [ (_, res) ] -> res
-  | _ -> assert false
+  Metrics.time m_solve @@ fun () ->
+  let st = create () in
+  let pipeline, res = solve_view st [] (name, node) in
+  principal st ~name ~pipeline res
 
 (* ------------------------------------------------------------------ *)
 (* Instantiation                                                       *)

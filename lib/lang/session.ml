@@ -276,9 +276,11 @@ let rec row_attrs h (e : View.expr) : Attr_name.t list =
    backend's fast path ([View.instances] over a [Database]) or the
    generic per-object evaluator below (the server's MVCC snapshots). *)
 let instances t ?position expr =
-  if View.has_join expr then
+  let no_identity () =
     fail ?file:t.file ?position "TDP054"
       "join views have no identity extent; materialize the join instead"
+  in
+  if View.has_join expr then no_identity ()
   else
     match t.ops.s_instances with
     | Some f -> f expr
@@ -299,7 +301,7 @@ let instances t ?position expr =
           | Project (e, _) -> go e
           | Select (e, p) -> List.filter (fun oid -> eval_pred oid p) (go e)
           | Generalize (a, b) -> List.sort_uniq Oid.compare (go a @ go b)
-          | Join _ -> assert false (* checked above *)
+          | Join _ -> no_identity ()
         in
         go expr
 

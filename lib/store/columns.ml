@@ -5,9 +5,7 @@ open Tdp_core
    A block holds every live instance of one type that was created under
    one attribute layout: one typed, unboxed column per attribute of the
    type's cumulative state, a null bitmap per column, a row → OID map,
-   per-row modification stamps (the database's logical tick, used by
-   materialized-view refresh to skip clean rows), a liveness bitmap and
-   a free-list of released rows.
+   a liveness bitmap and a free-list of released rows.
 
    Row ids are stable for the lifetime of an object: [alloc] either
    appends or reuses a freed slot, and nothing ever moves a live row.
@@ -86,7 +84,6 @@ type t = {
   mutable b_len : int;  (* rows ever allocated (high-water mark) *)
   mutable b_live : int;
   mutable b_oids : int array;
-  mutable b_stamps : int array;
   mutable b_alive : Bytes.t;
   mutable b_free : int list;
   mutable b_sorted : bool;
@@ -136,7 +133,6 @@ let make ~pool ~gen ty layout =
         b_len = 0;
         b_live = 0;
         b_oids = [||];
-        b_stamps = [||];
         b_alive = Bytes.create 0;
         b_free = [];
         b_sorted = true;
@@ -151,8 +147,6 @@ let free_rows b = List.length b.b_free
 let is_sorted b = b.b_sorted
 let oid_at b row = Oid.of_int b.b_oids.(row)
 let is_live b row = row < b.b_len && Bytes.get b.b_alive row = '\001'
-let stamp b row = b.b_stamps.(row)
-let set_stamp b row s = b.b_stamps.(row) <- s
 
 let grow b cap' =
   Obs.Metrics.incr c_grows;
@@ -189,7 +183,6 @@ let grow b cap' =
          n))
     b.b_cols;
   b.b_oids <- blit_i b.b_oids 0;
-  b.b_stamps <- blit_i b.b_stamps 0;
   b.b_alive <- blit_b b.b_alive;
   b.b_cap <- cap'
 

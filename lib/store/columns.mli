@@ -13,10 +13,7 @@
     Row ids are stable for an object's lifetime: rows are appended or
     reused from a free-list, never moved.  Blocks created by the
     allocator fill in increasing-OID order and advertise that via
-    {!is_sorted}, so extents concatenate pre-sorted runs.  Each row
-    carries the database's logical tick of its last mutation
-    ({!stamp}), which materialized-view refresh uses to skip clean
-    rows.
+    {!is_sorted}, so extents concatenate pre-sorted runs.
 
     The representation is exposed (read-only) so the vectorized scan
     path in [Tdp_algebra.Pred] can compile predicate atoms to tight
@@ -71,7 +68,6 @@ type t = {
   mutable b_len : int;
   mutable b_live : int;
   mutable b_oids : int array;
-  mutable b_stamps : int array;
   mutable b_alive : Bytes.t;
   mutable b_free : int list;
   mutable b_sorted : bool;
@@ -96,8 +92,7 @@ val free_rows : t -> int
 val is_sorted : t -> bool
 
 (** Allocate a row for [oid] (reusing a freed slot when available) and
-    mark it live.  The caller must then {!write} every column and
-    {!set_stamp} the row. *)
+    mark it live.  The caller must then {!write} every column. *)
 val alloc : t -> Oid.t -> int
 
 (** Mark a row dead and push it on the free-list; resets the block to
@@ -107,10 +102,6 @@ val release : t -> int -> unit
 val is_live : t -> int -> bool
 val oid_at : t -> int -> Oid.t
 
-(** Logical tick of the row's last mutation. *)
-val stamp : t -> int -> int
-
-val set_stamp : t -> int -> int -> unit
 val read : t -> row:int -> col:int -> Value.t
 
 (** Store a value (must conform to the column's declared type — the

@@ -32,22 +32,27 @@ type op =
    holding a [Ref] to it.  [referrers] and [delete] read it instead of
    scanning the whole store.
 
-   [tick] is a logical clock bumped once per mutation; every mutation
-   stamps the rows it touches, and materialized-view refresh uses the
-   stamps to skip rows unchanged since its last run. *)
+   [watchers] is the change feed: each attached watcher collects the
+   OIDs every mutation touches, so materialized-view refresh can visit
+   exactly the rows that changed.  With no watcher attached, the hooks
+   cost one empty-list test per mutation. *)
 
 type loc = { l_block : Columns.t; l_row : int }
+
+type watcher = { mutable touched : Oid.Set.t; mutable rebuild : bool }
+
+type delta = Rebuild | Touched of Oid.Set.t
 
 type t = {
   mutable schema : Schema.t;
   mutable index : Schema_index.t;
   mutable next : int;
-  mutable tick : int;
   pool : Columns.Pool.t;
   mutable locs : (Oid.t, loc) Hashtbl.t;
   blocks : (Type_name.t, Columns.t list ref) Hashtbl.t;
   backrefs : (Oid.t, (Oid.t * Attr_name.t, unit) Hashtbl.t) Hashtbl.t;
   mutable journal : (op -> unit) option;
+  mutable watchers : watcher list;
 }
 
 exception Store_error of string
@@ -61,18 +66,50 @@ let create schema =
   { schema;
     index = Schema_index.of_hierarchy (Schema.hierarchy schema);
     next = 1;
-    tick = 0;
     pool = Columns.Pool.create ();
     locs = Hashtbl.create 64;
     blocks = Hashtbl.create 16;
     backrefs = Hashtbl.create 64;
-    journal = None
+    journal = None;
+    watchers = []
   }
 
 let schema t = t.schema
 let set_journal t j = t.journal <- j
 let journaling t = t.journal <> None
 let record t op = match t.journal with Some f -> f op | None -> ()
+
+(* ---- change feed ---------------------------------------------------- *)
+
+(* A fresh watcher has seen nothing of the rows that already exist, so
+   it starts marked for a rebuild.  A watcher marked for a rebuild
+   collects nothing: the rebuild covers every row. *)
+let watch t =
+  let w = { touched = Oid.Set.empty; rebuild = true } in
+  t.watchers <- w :: t.watchers;
+  w
+
+let unwatch t w = t.watchers <- List.filter (fun x -> x != w) t.watchers
+
+let touch t oid =
+  match t.watchers with
+  | [] -> ()
+  | ws ->
+      List.iter
+        (fun w -> if not w.rebuild then w.touched <- Oid.Set.add oid w.touched)
+        ws
+
+(* A watcher not attached to [t] (detached, or another database's) has
+   seen none of [t]'s mutations, so all it can offer is a rebuild. *)
+let drain t w f =
+  let delta =
+    if w.rebuild || not (List.memq w t.watchers) then Rebuild
+    else Touched w.touched
+  in
+  let r = f delta in
+  w.touched <- Oid.Set.empty;
+  w.rebuild <- false;
+  r
 
 (* Swap in a refactored schema.  Projection never changes the
    cumulative state of pre-existing types (the paper's invariant), so
@@ -86,10 +123,14 @@ let set_schema ?source t schema =
   | Some _, None ->
       fail "set_schema on a journaled database requires the schema source");
   t.schema <- schema;
-  t.index <- Schema_index.of_hierarchy (Schema.hierarchy schema)
+  t.index <- Schema_index.of_hierarchy (Schema.hierarchy schema);
+  List.iter
+    (fun w ->
+      w.touched <- Oid.Set.empty;
+      w.rebuild <- true)
+    t.watchers
 
 let hierarchy t = Schema.hierarchy t.schema
-let tick t = t.tick
 
 let attr_def t ty attr =
   match Hierarchy.find_attribute (hierarchy t) ty attr with
@@ -228,8 +269,7 @@ let build_row t ty ~init =
 let insert_row t ty oid vals =
   let b = head_block t ty in
   let row = Columns.alloc b oid in
-  t.tick <- t.tick + 1;
-  Columns.set_stamp b row t.tick;
+  touch t oid;
   Array.iteri
     (fun col v ->
       Columns.write b ~row ~col v;
@@ -271,6 +311,7 @@ let find t oid =
   { oid; ty = l.l_block.Columns.b_ty; slots = slots_of_loc l }
 
 let type_of t oid = (find_loc t oid).l_block.Columns.b_ty
+let mem t oid = Hashtbl.mem t.locs oid
 
 let no_attr oid ty attr =
   fail "object %a of type %s has no attribute %s" Oid.pp oid
@@ -295,10 +336,6 @@ let get_attrs t oid attrs =
       | None -> no_attr oid b.Columns.b_ty attr)
     attrs
 
-let row_stamp t oid =
-  let l = find_loc t oid in
-  Columns.stamp l.l_block l.l_row
-
 let set_attr t oid attr v =
   let l = find_loc t oid in
   let b = l.l_block in
@@ -317,8 +354,7 @@ let set_attr t oid attr v =
   | Value.Ref r -> add_backref t ~target:r ~src:oid ~attr
   | _ -> ());
   Columns.write b ~row:l.l_row ~col v;
-  t.tick <- t.tick + 1;
-  Columns.set_stamp b l.l_row t.tick
+  touch t oid
 
 (* ---- extents -------------------------------------------------------- *)
 
@@ -355,6 +391,20 @@ let extent t ty =
         (fun acc b -> List.merge Oid.compare acc (Columns.live_oids b))
         [] (extent_blocks t ty))
 
+(* Row-local deep-extent membership, decided from the row's own block
+   type exactly as [extent_blocks] decides it for the whole block: rows
+   of [ty] itself always count, and a live row whose type has left the
+   hierarchy raises [Unknown_type] as the extent would. *)
+let in_extent t ty oid =
+  match Hashtbl.find_opt t.locs oid with
+  | None -> false
+  | Some l ->
+      let n = l.l_block.Columns.b_ty in
+      Type_name.equal n ty
+      ||
+      if not (Schema_index.mem t.index n) then Error.raise_ (Unknown_type n)
+      else Schema_index.mem t.index ty && Schema_index.subtype t.index n ty
+
 (* Objects holding a reference to [oid], with the referring slot — read
    from the reverse-reference index, not a store scan. *)
 let referrers t oid =
@@ -377,7 +427,7 @@ let delete t ?(policy = Restrict) oid =
         (Attr_name.to_string attr)
   | _ -> ());
   record t (Op_delete { oid; policy });
-  t.tick <- t.tick + 1;
+  touch t oid;
   (match policy with
   | Restrict -> ()
   | Nullify ->
@@ -390,7 +440,7 @@ let delete t ?(policy = Restrict) oid =
           (match Columns.pos ol.l_block attr with
           | Some col ->
               Columns.write ol.l_block ~row:ol.l_row ~col Value.Null;
-              Columns.set_stamp ol.l_block ol.l_row t.tick
+              touch t other
           | None -> ());
           remove_backref t ~target:oid ~src:other ~attr)
         refs);

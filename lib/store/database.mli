@@ -80,6 +80,9 @@ val find : t -> Oid.t -> obj
 
 val type_of : t -> Oid.t -> Type_name.t
 
+(** Is [oid] a live object? *)
+val mem : t -> Oid.t -> bool
+
 (** @raise Store_error if the attribute is not in the object's state. *)
 val get_attr : t -> Oid.t -> Attr_name.t -> Value.t
 
@@ -95,6 +98,12 @@ val delete : t -> ?policy:delete_policy -> Oid.t -> unit
 
 (** Deep extent, in OID order. *)
 val extent : t -> Type_name.t -> Oid.t list
+
+(** [in_extent db ty oid]: is [oid] in [extent db ty]?  Decided from
+    the row alone — [false] for a dead OID.
+    @raise Error.E [Unknown_type] when the row's type has left the
+    hierarchy, as {!extent} does. *)
+val in_extent : t -> Type_name.t -> Oid.t -> bool
 
 val count : t -> int
 
@@ -119,18 +128,45 @@ val fold_rows :
   ('a -> Oid.t -> Type_name.t -> (Attr_name.t * Value.t) list -> 'a) ->
   'a
 
-(** {2 Change tracking}
+(** {2 Change feed}
 
-    The database keeps a logical clock, bumped once per mutation; every
-    mutation stamps the rows it touches.  [Tdp_algebra.Matview] uses
-    the stamps to skip rows unchanged since its last refresh. *)
+    Between drains, a watcher collects, as a deduplicated OID set,
+    every row a mutation touches: objects created or restored, slots
+    written, objects deleted, and the referrers whose slots a [Nullify]
+    deletion nulls.  {!set_schema} instead marks every attached watcher
+    for a full rebuild, since a schema swap can change what any row
+    means.  Reads never register.  With no watcher
+    attached a mutation pays one empty-list test, so journal replay,
+    dump loading and MVCC materialization cost nothing extra.
 
-(** Current logical tick (0 on a fresh database). *)
-val tick : t -> int
+    Unlike a journal ({!set_journal}), a watcher sees a mutation after
+    it took effect, reports [Nullify] cascades, and any number can be
+    attached at once.  [Tdp_algebra.Matview] keeps one per view. *)
 
-(** Tick of the object's last mutation.
-    @raise Store_error on a dangling OID. *)
-val row_stamp : t -> Oid.t -> int
+type watcher
+
+(** What a watcher has seen since it was last drained. *)
+type delta =
+  | Rebuild
+      (** the watcher is new, the schema changed, or the watcher is not
+          attached *)
+  | Touched of Oid.Set.t  (** exactly the rows mutated *)
+
+(** Attach a fresh watcher.  It has seen none of the rows that exist
+    already, so its first delta is [Rebuild]; a watcher marked for a
+    rebuild collects no rows until it is drained. *)
+val watch : t -> watcher
+
+(** Detach a watcher; it records nothing further.  A no-op when it is
+    not attached. *)
+val unwatch : t -> watcher -> unit
+
+(** [drain db w f] applies [f] to [w]'s pending delta, then clears the
+    delta — including whatever [f]'s own mutations added to it.  If [f]
+    raises, nothing is cleared, so a retry sees the delta again (plus
+    the rows [f] touched before raising).  A watcher not attached to
+    [db] always drains [Rebuild]. *)
+val drain : t -> watcher -> (delta -> 'a) -> 'a
 
 (** {2 Bulk-load and columnar access} *)
 

@@ -8,3 +8,10 @@ let of_int i = i
 
 module Map = Map.Make (Int)
 module Set = Set.Make (Int)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = to_int
+end)

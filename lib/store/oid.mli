@@ -14,3 +14,6 @@ val of_int : int -> t
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
+
+(** Hash tables keyed by OID, hashing the integer directly. *)
+module Tbl : Hashtbl.S with type key = t

@@ -9,7 +9,8 @@
    outcomes, and dump round-trips.  Unit tests pin the block mechanics
    the oracle cannot see: free-list reuse, null bitmaps, growth,
    layout routing across schema evolution, vectorized scans, and
-   matview dirty-row skipping. *)
+   delta-driven matview refresh, which a seeded property checks
+   against the full pass and a fresh materialization. *)
 
 open Tdp_core
 module Database = Tdp_store.Database
@@ -412,6 +413,185 @@ let prop_scan_equiv =
         [ "Person"; "Employee"; "Team" ];
       true)
 
+(* ---- delta-driven matview maintenance ------------------------------- *)
+
+(* Every view shape that has identity instances, over one store: Base
+   and Project views, a Select over a projection, a Generalize and a
+   Select over it.  [Manager.deputy] is typed by a view type, so rows
+   can point at copies, and a copy's [Nullify] delete cascades into
+   other views.  The managers-with-a-deputy view copies into that same
+   type: its own drops can null its own sources' [deputy] and so move
+   them out of the view within one refresh.  [Team] and [TeamV] copies
+   carry object references of their own. *)
+let contractor_def =
+  Type_def.make ~supers:[ (ty "Person", 1) ]
+    ~attrs:
+      [ Attribute.make (at "rate") Value_type.float;
+        Attribute.make (at "boss") (Value_type.named (ty "Employee"))
+      ]
+    (ty "Contractor")
+
+let manager_def =
+  Type_def.make ~supers:[ (ty "Employee", 1) ]
+    ~attrs:[ Attribute.make (at "deputy") (Value_type.named (ty "EmpV")) ]
+    (ty "Manager")
+
+let mv_schema, mv_views =
+  let derive s name expr =
+    (View.derive_exn s ~view:name ~name:(ty name) expr).View.schema
+  in
+  let employee = View.Base (ty "Employee") in
+  let workers = View.Generalize (employee, View.Base (ty "Contractor")) in
+  let seniors = Pred.cmp (at "date_of_birth") Pred.Le (Body.Int 1975) in
+  let managers =
+    View.Select
+      ( View.Project (View.Base (ty "Manager"), [ at "ssn"; at "deputy" ]),
+        Pred.cmp (at "ssn") Pred.Lt (Body.Int 50) )
+  in
+  let emp_v = View.Project (employee, Tdp_paper.Fig1.projection) in
+  let s = Schema.add_type base_schema contractor_def in
+  let s = derive s "EmpV" emp_v in
+  let s = Schema.add_type s manager_def in
+  let s = derive s "MgrSel" managers in
+  let s = derive s "TeamV" (View.Project (View.Base (ty "Team"), [ at "manager"; at "buddy" ])) in
+  let s = derive s "Worker" workers in
+  let s = derive s "SeniorW" (View.Select (workers, seniors)) in
+  ( s,
+    [ (ty "EmpV", emp_v);
+      (ty "EmpV", employee);
+      (ty "MgrSel", managers);
+      (ty "EmpV", View.Select (View.Base (ty "Manager"), Pred.cmp (at "deputy") Pred.Ne Body.Null));
+      (ty "TeamV", View.Base (ty "Team"));
+      (ty "Worker", workers);
+      (ty "SeniorW", View.Select (workers, seniors))
+    ] )
+
+(* The swap target: one unrelated type more, so every view stays valid
+   but the store must treat the swap as a full rebuild. *)
+let mv_schema_plus =
+  Schema.add_type mv_schema
+    (Type_def.make ~attrs:[ Attribute.make (at "code") Value_type.int ] (ty "Dept"))
+
+(* A random value for an attribute: usually well-typed, sometimes
+   [Null].  References come from [pick_ref]; some dangle or mistype,
+   and the write fails (and is ignored). *)
+let random_value st ~pick_ref (a : Attribute.t) =
+  let int n = Random.State.int st n in
+  if int 8 = 0 then Value.Null
+  else
+    match Attribute.ty a with
+    | Value_type.Prim Int -> Value.Int (int 100)
+    | Prim Float -> Value.Float (float_of_int (int 40) /. 4.)
+    | Prim String -> Value.String (List.nth [ "a"; "bob"; "" ] (int 3))
+    | Prim Bool -> Value.Bool (int 2 = 0)
+    | Prim Date -> Value.Date (1950 + int 60)
+    | Named _ -> Value.Ref (pick_ref ())
+    | Unknown -> Value.Null
+
+let random_write st ~pick_ref db oid =
+  match Database.type_of db oid with
+  | exception Database.Store_error _ -> ()
+  | t -> (
+      let attrs = Hierarchy.all_attributes (Database.hierarchy db) t in
+      let a = List.nth attrs (Random.State.int st (List.length attrs)) in
+      try Database.set_attr db oid (Attribute.name a) (random_value st ~pick_ref a)
+      with Database.Store_error _ -> ())
+
+(* After a delta refresh: a forced full pass finds nothing to do, the
+   copies carry exactly what a fresh materialization would, and every
+   copy still alive kept its source. *)
+let check_refresh ~seed ~step db (vt, expr) mv =
+  let fail fmt =
+    Fmt.kstr
+      (fun m ->
+        Alcotest.failf "seed %d, step %d, view %a: %s" seed step View.pp_expr expr m)
+      fmt
+  in
+  let before = Matview.mapping mv in
+  ignore (Matview.refresh db mv);
+  let forced = Matview.refresh ~force:true db mv in
+  if forced <> Matview.no_change then
+    fail "forced refresh after the delta refresh did %a" Matview.pp_stats forced;
+  let attrs = Hierarchy.all_attribute_names (Database.hierarchy db) vt in
+  let rows oids =
+    List.sort compare (List.map (fun o -> Database.get_attrs db o attrs) oids)
+  in
+  let fresh = View.materialize db ~view_type:vt expr in
+  let expected = rows fresh in
+  List.iter (Database.delete db) fresh;
+  if not (List.equal (List.equal Value.equal) expected (rows (Matview.copies mv)))
+  then fail "copies differ from a fresh materialization";
+  Oid.Map.iter
+    (fun src copy ->
+      if Database.mem db copy then
+        match Oid.Map.find_opt src (Matview.mapping mv) with
+        | Some c when Oid.equal c copy -> ()
+        | _ -> fail "source #%d lost its live copy #%d" (Oid.to_int src) (Oid.to_int copy))
+    before
+
+let creatable = [ "Employee"; "Manager"; "Manager"; "Contractor"; "Team"; "Person" ]
+
+let run_matview_case seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let db = Database.create mv_schema in
+  let views =
+    List.map (fun (vt, expr) -> ((vt, expr), Matview.create db ~view_type:vt expr)) mv_views
+  in
+  let nviews = List.length views in
+  let any_oid () = Oid.of_int (1 + int (Database.next_oid db)) in
+  (* half the references point at copies, so copy deletes cascade *)
+  let pick_ref () =
+    match Matview.copies (snd (List.nth views (int nviews))) with
+    | _ :: _ as cs when int 2 = 0 -> List.nth cs (int (List.length cs))
+    | _ -> any_oid ()
+  in
+  let swapped = ref false in
+  for step = 1 to 120 do
+    match int 100 with
+    | r when r < 25 ->
+        let t = ty (List.nth creatable (int (List.length creatable))) in
+        let init =
+          List.map
+            (fun a -> (Attribute.name a, random_value st ~pick_ref a))
+            (Hierarchy.all_attributes (Database.hierarchy db) t)
+        in
+        (try ignore (Database.new_object db t ~init)
+         with Database.Store_error _ -> ())
+    | r when r < 55 -> random_write st ~pick_ref db (any_oid ())
+    | r when r < 65 -> (
+        (* a direct write to some view's copy *)
+        match Matview.copies (snd (List.nth views (int nviews))) with
+        | [] -> ()
+        | cs -> random_write st ~pick_ref db (List.nth cs (int (List.length cs))))
+    | r when r < 77 -> (
+        let policy = if int 2 = 0 then Database.Restrict else Database.Nullify in
+        try Database.delete db ~policy (any_oid ())
+        with Database.Store_error _ -> ())
+    | r when r < 80 ->
+        swapped := not !swapped;
+        Database.set_schema db (if !swapped then mv_schema_plus else mv_schema)
+    | _ ->
+        let v, mv = List.nth views (int nviews) in
+        check_refresh ~seed ~step db v mv
+  done;
+  List.iter (fun (v, mv) -> check_refresh ~seed ~step:0 db v mv) views;
+  true
+
+(* A failing case prints its seed; [TDP_MATVIEW_SEED=<seed>] replays
+   exactly that case. *)
+let prop_matview_delta =
+  let gen =
+    match Sys.getenv_opt "TDP_MATVIEW_SEED" with
+    | Some s -> QCheck.Gen.return (int_of_string s)
+    | None -> QCheck.Gen.int_bound 999_999
+  in
+  QCheck.Test.make ~name:"delta matview refresh ≡ full pass ≡ materialize" ~count:300
+    (QCheck.make gen ~print:(fun s ->
+         Fmt.str "seed %d (replay: TDP_MATVIEW_SEED=%d dune exec test/test_columnar.exe)"
+           s s))
+    run_matview_case
+
 (* ---- unit tests: block mechanics ------------------------------------ *)
 
 let mk_person db i =
@@ -596,7 +776,8 @@ let () =
   Alcotest.run "columnar"
     [ ( "differential",
         [ QCheck_alcotest.to_alcotest prop_differential;
-          QCheck_alcotest.to_alcotest prop_scan_equiv
+          QCheck_alcotest.to_alcotest prop_scan_equiv;
+          QCheck_alcotest.to_alcotest prop_matview_delta
         ] );
       ( "blocks",
         [ Alcotest.test_case "free-list reuse" `Quick test_free_list_reuse;
