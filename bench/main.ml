@@ -28,7 +28,9 @@
                                              regressed >3x vs the baseline
                                              JSON in FILE, or if a required
                                              speedup floor (columnar store,
-                                             matview refresh) is not met by
+                                             matview refresh) or ratio
+                                             ceiling (served call vs. its
+                                             point select) is not met by
                                              the current tree) *)
 
 open Tdp_core
@@ -1085,6 +1087,38 @@ let session_point n =
   let t_extent = time_it (fun () -> Tdp_lang.Session.eval s extent_stmt) in
   (t_type, t_extent)
 
+(* Served [eval] in process (no socket): one point select and one
+   [call age] on the row it picks, both through a Server session outside
+   any transaction over an MVCC store of [n] Employees.  The call pays
+   for the same select plus the method itself, so the two stay close;
+   a call that copied the snapshot first would cost several selects. *)
+let served_point n =
+  let store = Mvcc.create Fig1.schema in
+  let t = Mvcc.begin_ store in
+  for i = 1 to n do
+    ignore
+      (Mvcc.new_object t (ty "Employee")
+         ~init:
+           [ (at "ssn", Tdp_store.Value.Int i);
+             (at "date_of_birth", Tdp_store.Value.Date (1950 + (i mod 60)))
+           ])
+  done;
+  (match Mvcc.commit t with
+  | Ok _ -> ()
+  | Error e -> failwith (Mvcc.commit_error_message e));
+  let s = Server.session ~store () in
+  let k = (n / 2) + 1 in
+  let eval src =
+    let resp = Server.handle_line s (Fmt.str "eval %S" src) in
+    assert (String.length resp > 3 && String.sub resp 0 3 = "ok ");
+    resp
+  in
+  let select = Fmt.str ":extent select Employee where ssn == %d" k in
+  let call = Fmt.str "call age on select Employee where ssn == %d;" k in
+  ignore (eval select);
+  ignore (eval call);
+  (time_it (fun () -> eval select), time_it (fun () -> eval call))
+
 let table_s11 () =
   section "S11: replica catch-up and routed extents (fig1 Employees)";
   row3 "shipped records" "catch-up per record" "idle poll";
@@ -1267,6 +1301,10 @@ let json_report ~small =
   (* statement-language eval path, fixed at 1000 rows likewise *)
   let repl_n = 1_000 in
   let t_repl_type, t_repl_extent = session_point repl_n in
+  (* served eval: point select vs. a call on the row it picks, fixed at
+     10k rows in both modes (the --check ceiling is keyed on them) *)
+  let served_n = 10_000 in
+  let t_served_select, t_served_call = served_point served_n in
   (* the acceptance floors for the columnar engine are keyed on the
      100k point, which every mode measures *)
   let c100k = List.find (fun p -> p.cp_n = 100_000) cols in
@@ -1304,6 +1342,12 @@ let json_report ~small =
       { name = "repl/eval/typecheck"; ns_per_op = ns t_repl_type };
       { name = "repl/eval/extent-row";
         ns_per_op = ns t_repl_extent /. float_of_int repl_n
+      };
+      { name = Fmt.str "served/eval/point-select/n=%d" served_n;
+        ns_per_op = ns t_served_select
+      };
+      { name = Fmt.str "served/eval/call-point/n=%d" served_n;
+        ns_per_op = ns t_served_call
       }
     ]
     @ List.concat_map
@@ -1628,6 +1672,16 @@ let required_speedups =
     ("matview/one-update-vs-force", 50.0)
   ]
 
+(* Ceilings on the ratio of two entries of the current --small report:
+   (entry, reference entry, max ratio).  A served call that goes back to
+   copying the whole snapshot measured ~10x its point select (2-core
+   Linux box, --small). *)
+let required_ceilings =
+  [ ( "served/eval/call-point/n=10000",
+      "served/eval/point-select/n=10000",
+      2.0 )
+  ]
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -1702,7 +1756,22 @@ let run_check ~baseline_file =
             else None)
       required_speedups
   in
-  match failures @ floor_failures with
+  let ceiling_failures =
+    List.filter_map
+      (fun (name, reference, ceiling) ->
+        match (ns_per_op_of ~json:current name, ns_per_op_of ~json:current reference) with
+        | Some x, Some r ->
+            Fmt.pr "  %-32s %8.2fx %s  (ceiling %.1fx)@." name (x /. r) reference
+              ceiling;
+            if x /. r > ceiling then
+              Some
+                (Fmt.str "%s: %.2fx %s, above the %.1fx ceiling" name (x /. r)
+                   reference ceiling)
+            else None
+        | _ -> Some (Fmt.str "%s or %s: missing from current report" name reference))
+      required_ceilings
+  in
+  match failures @ floor_failures @ ceiling_failures with
   | [] ->
       Fmt.pr "bench check OK@.";
       exit 0

@@ -140,25 +140,50 @@ type replica_info = {
 
 type mode = Read_write | Read_only of replica_info
 
+(* The interpreter behind [call] statements, kept for the session's
+   lifetime so its dispatch memo tables survive across calls (it
+   rebuilds them itself when the schema generation changes).  It reads
+   and writes [cur], the snapshot one call runs against; [writes]
+   collects that call's attribute writes, newest first — the only
+   writes a method body can make. *)
+type caller = {
+  interp : Tdp_store.Interp.t;
+  cur : Mvcc.snapshot ref;
+  writes : (Oid.t * Attr_name.t * Value.t) list ref;
+}
+
 type session = {
   store : Mvcc.t;
   smode : mode;
   mutable sbranch : string;
   mutable txn : Mvcc.txn option;
+  mutable pinned : Mvcc.snapshot option;
+      (* the branch head one [eval] request reads outside a
+         transaction, so all its statements see a single version *)
   mutable lang : Tdp_lang.Session.t option;
       (* the statement-language session behind the [eval] verb, built
          lazily on first use and kept for the connection's lifetime
          (its catalog and [let] bindings are session state) *)
+  mutable caller : caller option;  (* built lazily, like [lang] *)
 }
 
 let session ?(mode = Read_write) ~store () =
-  { store; smode = mode; sbranch = Mvcc.main_branch; txn = None; lang = None }
+  { store;
+    smode = mode;
+    sbranch = Mvcc.main_branch;
+    txn = None;
+    pinned = None;
+    lang = None;
+    caller = None
+  }
 
-(* The overlay inside a transaction, the branch head outside. *)
+(* The overlay inside a transaction; outside one, the head pinned for
+   the current [eval] request, else the branch head. *)
 let read_snapshot s =
-  match s.txn with
-  | Some t when Mvcc.state t = Mvcc.Open -> Mvcc.view t
-  | _ -> Mvcc.head s.store ~branch:s.sbranch
+  match (s.txn, s.pinned) with
+  | Some t, _ when Mvcc.state t = Mvcc.Open -> Mvcc.view t
+  | _, Some snap -> snap
+  | _, None -> Mvcc.head s.store ~branch:s.sbranch
 
 let open_txn s =
   match s.txn with
@@ -173,41 +198,55 @@ let abort_open s reason =
 (* ---- the eval verb ------------------------------------------------- *)
 
 (* [eval] runs statements of the interactive data language
-   (Tdp_lang.Stmt) against this session's view of the store: reads see
-   the transaction overlay when one is open and the branch head
-   otherwise (exactly like [get]/[extent]); writes stage through the
-   open transaction and fail with a structured TDP055 diagnostic when
-   none is open.  Method calls run on a scratch materialization of the
-   read snapshot with a journal attached; any ops the method performs
-   are replayed into the open transaction, so a mutating method outside
-   a transaction changes nothing and reports the failure. *)
+   (Tdp_lang.Stmt) against this session's view of the store.  Reads see
+   the transaction overlay when one is open; otherwise the request pins
+   the branch head once, so every statement and row access of one
+   [eval] reads the same version.  Writes stage through the open
+   transaction and fail with a structured TDP055 diagnostic when none
+   is open.
 
-let replay_op t (op : Database.op) =
-  match op with
-  | Database.Op_new { oid; ty; init } ->
-      let oid' = Mvcc.new_object t ty ~init in
-      if not (Oid.equal oid oid') then
-        raise
-          (Database.Store_error
-             (Fmt.str "method replay allocated #%d where the call saw #%d"
-                (Oid.to_int oid') (Oid.to_int oid)))
-  | Database.Op_set { oid; attr; value } -> Mvcc.set_attr t oid attr value
-  | Database.Op_delete { oid; policy } -> Mvcc.delete t ~policy oid
-  | Database.Op_set_schema { source } -> Mvcc.set_schema t ~source
+   A [call] runs the method directly on that immutable snapshot.  Each
+   write the method makes is validated by [Mvcc.apply_op], which yields
+   a successor snapshot the rest of the call reads, so the method sees
+   its own writes; the store and the transaction are untouched.  When
+   the call returns, its writes are replayed into the open transaction;
+   when it raises, they are dropped.  A mutating method outside a
+   transaction therefore changes nothing and reports the failure.  Each
+   read or write costs O(log n); nothing copies the store. *)
+
+let caller s =
+  match s.caller with
+  | Some c -> c
+  | None ->
+      let cur = ref (read_snapshot s) and writes = ref [] in
+      let interp =
+        Tdp_store.Interp.of_store
+          { schema = (fun () -> Mvcc.schema !cur);
+            type_of = (fun oid -> Mvcc.type_of !cur oid);
+            get_attr = (fun oid attr -> Mvcc.get_attr !cur oid attr);
+            set_attr =
+              (fun oid attr value ->
+                cur :=
+                  Mvcc.apply_op s.store !cur (Database.Op_set { oid; attr; value });
+                writes := (oid, attr, value) :: !writes)
+          }
+      in
+      let c = { interp; cur; writes } in
+      s.caller <- Some c;
+      c
 
 let eval_call s gf args =
-  let db = Mvcc.to_database (read_snapshot s) in
-  let ops = ref [] in
-  Database.set_journal db (Some (fun op -> ops := op :: !ops));
-  let result = Tdp_store.Interp.call (Tdp_store.Interp.create db) gf args in
-  Database.set_journal db None;
-  (match List.rev !ops with
+  let c = caller s in
+  c.cur := read_snapshot s;
+  c.writes := [];
+  let result = Tdp_store.Interp.call c.interp gf args in
+  (match List.rev !(c.writes) with
   | [] -> ()
-  | ops ->
+  | writes ->
       (* mutating method: persist its effects or fail having changed
-         nothing (the scratch database is discarded either way) *)
+         nothing *)
       let t = open_txn s in
-      List.iter (replay_op t) ops);
+      List.iter (fun (oid, attr, value) -> Mvcc.set_attr t oid attr value) writes);
   result
 
 let lang_ops s : Tdp_lang.Session.store_ops =
@@ -222,6 +261,16 @@ let lang_ops s : Tdp_lang.Session.store_ops =
     s_call = (fun gf args -> eval_call s gf args);
     s_instances = None
   }
+
+(* Outside a transaction, run [f] over one pinned branch head.  Inside
+   one, the overlay changes only through this session's own writes, so
+   it stays live. *)
+let with_pinned_head s f =
+  match s.txn with
+  | Some t when Mvcc.state t = Mvcc.Open -> f ()
+  | _ ->
+      s.pinned <- Some (Mvcc.head s.store ~branch:s.sbranch);
+      Fun.protect ~finally:(fun () -> s.pinned <- None) f
 
 let lang_session s =
   match s.lang with
@@ -340,7 +389,10 @@ let respond s (req : request) =
       (* same outcomes and rendering as [odb repl]; statement-level
          failures are part of the payload (the session survives), and
          the whole response is [err] iff any statement failed *)
-      let outcomes = Tdp_lang.Session.eval_string (lang_session s) source in
+      let outcomes =
+        with_pinned_head s (fun () ->
+            Tdp_lang.Session.eval_string (lang_session s) source)
+      in
       let text =
         String.concat "\n" (List.map Tdp_lang.Session.render outcomes)
       in

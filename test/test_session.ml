@@ -47,6 +47,22 @@ method promote(e : Employee) : bool {
   return years_since(get_date_of_birth(e)) >= 5 and get_pay_rate(e) < 100;
 }
 
+method raise_pay(e : Employee) : float {
+  set_pay_rate(e, get_pay_rate(e) + 10.0);
+  return get_pay_rate(e);
+}
+
+method raise_then_fail(e : Employee) : int {
+  set_pay_rate(e, get_pay_rate(e) + 10.0);
+  return years_since(get_pay_rate(e));
+}
+
+method raise_ill_typed(e : Employee) : float {
+  set_pay_rate(e, get_pay_rate(e) + 10.0);
+  set_pay_rate(e, "ten");
+  return get_pay_rate(e);
+}
+
 view EmpView = project Employee on [ssn, date_of_birth, pay_rate];
 view Seniors = select EmpView where date_of_birth <= 1980;
 |}
@@ -321,6 +337,7 @@ let diff_stmts =
     "call income on Employee;";
     "call age on Cheap;";
     "set #1 { pay_rate = 75.5 };";
+    "call raise_pay on select Employee where ssn == 1;";
     ":extent Cheap";
     ":type Cheap";
     "let q = select Cheap where ssn == 1;";
@@ -368,27 +385,33 @@ let repl_transcript () =
         (fun () -> Repl.run s ic out);
       read_file out_f)
 
-(* Frontend C: a served eval session over an MVCC store. *)
-let server_transcript () =
+(* A served session over a fresh in-memory MVCC store. *)
+let served_store () =
   let r = Lazy.force elab in
   let load_schema src = (Elaborate.load_exn src).Elaborate.schema in
   let store = Mvcc.create ~load_schema r.Elaborate.schema in
-  let s = Server.session ~store () in
-  let run line = Server.handle_line s line in
-  (match run "begin" with
-  | resp when String.length resp >= 2 && String.sub resp 0 2 = "ok" -> ()
-  | resp -> Alcotest.failf "begin refused: %s" resp);
-  let payload line =
-    let resp = run (Fmt.str "eval %S" line) in
-    try Scanf.sscanf resp "ok %S%!" Fun.id
-    with _ -> (
-      try Scanf.sscanf resp "err %S%!" Fun.id
-      with _ -> Alcotest.failf "unparseable eval response: %s" resp)
-  in
-  let text = String.concat "\n" (List.map payload diff_stmts) in
-  (match run "commit" with
-  | resp when String.length resp >= 2 && String.sub resp 0 2 = "ok" -> ()
-  | resp -> Alcotest.failf "commit refused: %s" resp);
+  (store, Server.session ~store ())
+
+(* A protocol request that must succeed. *)
+let request_ok s line =
+  match Server.handle_line s line with
+  | resp when String.length resp >= 2 && String.sub resp 0 2 = "ok" -> resp
+  | resp -> Alcotest.failf "%s refused: %s" line resp
+
+(* The rendered outcomes of one [eval] request, whether it succeeded. *)
+let eval_payload s src =
+  let resp = Server.handle_line s (Fmt.str "eval %S" src) in
+  try Scanf.sscanf resp "ok %S%!" Fun.id
+  with _ -> (
+    try Scanf.sscanf resp "err %S%!" Fun.id
+    with _ -> Alcotest.failf "unparseable eval response: %s" resp)
+
+(* Frontend C: a served eval session over an MVCC store. *)
+let server_transcript () =
+  let _, s = served_store () in
+  ignore (request_ok s "begin");
+  let text = String.concat "\n" (List.map (eval_payload s) diff_stmts) in
+  ignore (request_ok s "commit");
   text
 
 let test_differential () =
@@ -399,16 +422,154 @@ let test_differential () =
 (* A mutating statement outside a transaction is a TDP055 diagnostic,
    not a protocol error: the eval session survives. *)
 let test_server_eval_needs_txn () =
-  let r = Lazy.force elab in
-  let load_schema src = (Elaborate.load_exn src).Elaborate.schema in
-  let store = Mvcc.create ~load_schema r.Elaborate.schema in
-  let s = Server.session ~store () in
+  let _, s = served_store () in
   let resp = Server.handle_line s "eval \"new Employee { ssn = 1 };\"" in
   if not (contains resp "TDP055") then
     Alcotest.failf "wanted a TDP055 diagnostic, got: %s" resp;
   let resp = Server.handle_line s "eval \":schema\"" in
   if not (contains resp "ok ") then
     Alcotest.failf "session should survive: %s" resp
+
+(* ---- methods over served eval ---------------------------------------- *)
+
+let oid = Tdp_store.Oid.of_int
+
+(* A served session whose committed head holds one Employee, #1 with
+   pay_rate 50.0, at version 1. *)
+let served_amy () =
+  let store, s = served_store () in
+  ignore (request_ok s "begin");
+  ignore
+    (eval_payload s
+       "new Employee { ssn = 1; name = \"amy\"; date_of_birth = year(1970); \
+        pay_rate = 50.0; hrs_worked = 30.0 };");
+  ignore (request_ok s "commit");
+  (store, s)
+
+let check_head store what ~version rate =
+  let head = Mvcc.head store ~branch:Mvcc.main_branch in
+  Alcotest.(check int) (what ^ ": head version") version (Mvcc.version head);
+  let got = Mvcc.get_attr head (oid 1) (at "pay_rate") in
+  if not (Value.equal got (Value.Float rate)) then
+    Alcotest.failf "%s: head pay_rate %a, expected %g" what Value.pp got rate
+
+(* A method that writes through [set_pay_rate] sees its own write, and
+   the write reaches the open transaction: visible to the next
+   statement, durable at commit. *)
+let test_mutating_call_in_txn () =
+  let store, s = served_amy () in
+  ignore (request_ok s "begin");
+  Alcotest.(check string) "reads its own write" "raise_pay(#1) = 60"
+    (eval_payload s "call raise_pay on Employee;");
+  Alcotest.(check string) "next statement sees it" "get_pay_rate(#1) = 60"
+    (eval_payload s "call get_pay_rate on Employee;");
+  Alcotest.(check string) "protocol read sees it" "ok 60.0"
+    (request_ok s "get #1 pay_rate");
+  check_head store "before commit" ~version:1 50.0;
+  ignore (request_ok s "commit");
+  check_head store "after commit" ~version:2 60.0
+
+(* Outside a transaction the call is TDP055 and the head is unchanged. *)
+let test_mutating_call_needs_txn () =
+  let store, s = served_amy () in
+  let text = eval_payload s "call raise_pay on Employee;" in
+  if not (contains text "TDP055" && contains text "no open transaction") then
+    Alcotest.failf "wanted TDP055 no open transaction, got: %s" text;
+  check_head store "after refused call" ~version:1 50.0
+
+(* A method that writes and then fails — at run time, or on an
+   ill-typed write — leaves the transaction's overlay as it was: its
+   earlier writes are dropped with it, and committing publishes
+   nothing. *)
+let test_failing_call_drops_writes () =
+  let store, s = served_amy () in
+  ignore (request_ok s "begin");
+  List.iter
+    (fun (gf, why) ->
+      let text = eval_payload s (Fmt.str "call %s on Employee;" gf) in
+      if not (contains text "TDP055" && contains text why) then
+        Alcotest.failf "%s: wanted TDP055 (%s), got: %s" gf why text;
+      Alcotest.(check string) (gf ^ " left the overlay") "ok 50.0"
+        (request_ok s "get #1 pay_rate"))
+    [ ("raise_then_fail", "years_since"); ("raise_ill_typed", "conform") ];
+  ignore (request_ok s "commit");
+  check_head store "after commit" ~version:1 50.0
+
+(* ---- one snapshot per eval request ----------------------------------- *)
+
+(* A writer commits transactions that each delete one Employee and
+   create another, so the extent always holds [k] rows; a reader
+   outside any transaction must see exactly [k] rows in every response
+   and never a row that vanished mid-request.  Each [eval] pins one
+   head, so its OID list and its attribute reads come from one version. *)
+let test_eval_reads_one_snapshot () =
+  let seed =
+    match Sys.getenv_opt "TDP_SEED" with
+    | Some v -> int_of_string v
+    | None -> Random.State.bits (Random.State.make_self_init ())
+  in
+  let k = 16 and rounds = 400 in
+  let store, s = served_store () in
+  ignore (request_ok s "begin");
+  for i = 1 to k do
+    ignore
+      (eval_payload s
+         (Fmt.str "new Employee { ssn = %d; date_of_birth = year(%d) };" i
+            (1950 + i)))
+  done;
+  ignore (request_ok s "commit");
+  let done_ = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let rng = Random.State.make [| seed |] in
+        let live = ref (List.init k (fun i -> oid (i + 1))) in
+        Fun.protect
+          ~finally:(fun () -> Atomic.set done_ true)
+          (fun () ->
+            for round = 1 to rounds do
+              let t = Mvcc.begin_ store in
+              let victim = List.nth !live (Random.State.int rng k) in
+              Mvcc.delete t victim;
+              let fresh =
+                Mvcc.new_object t (Tdp_core.Type_name.of_string "Employee")
+                  ~init:
+                    [ (at "ssn", Value.Int (k + round));
+                      (at "date_of_birth", Value.Date (1950 + round mod 50))
+                    ]
+              in
+              (match Mvcc.commit t with
+              | Ok _ -> ()
+              | Error e ->
+                  failwith
+                    (Fmt.str "writer commit refused: %s"
+                       (Mvcc.commit_error_message e)));
+              live :=
+                fresh
+                :: List.filter (fun o -> not (Tdp_store.Oid.equal o victim)) !live;
+              for _ = 1 to Random.State.int rng 200 do
+                Domain.cpu_relax ()
+              done
+            done))
+  in
+  let failure = ref None in
+  let check what text ~lines =
+    if !failure = None then
+      if contains text "no object" || contains text "TDP055" then
+        failure := Some (Fmt.str "%s saw a vanished row:\n%s" what text)
+      else if List.length (String.split_on_char '\n' text) <> lines then
+        failure :=
+          Some (Fmt.str "%s saw other than %d rows:\n%s" what k text)
+  in
+  let reads = ref 0 in
+  while (not (Atomic.get done_)) || !reads < 20 do
+    check ":extent" (eval_payload s ":extent Employee") ~lines:(k + 1);
+    check "call" (eval_payload s "call age on Employee;") ~lines:k;
+    incr reads
+  done;
+  Domain.join writer;
+  match !failure with
+  | None -> ()
+  | Some msg -> Alcotest.failf "%s\n(seed %d; rerun with TDP_SEED=%d)" msg seed seed
 
 let () =
   Alcotest.run "session"
@@ -432,5 +593,16 @@ let () =
             test_differential;
           Alcotest.test_case "eval without txn is TDP055" `Quick
             test_server_eval_needs_txn;
+        ] );
+      ( "served calls",
+        [
+          Alcotest.test_case "mutating method inside a txn" `Quick
+            test_mutating_call_in_txn;
+          Alcotest.test_case "mutating method outside a txn" `Quick
+            test_mutating_call_needs_txn;
+          Alcotest.test_case "failing method drops its writes" `Quick
+            test_failing_call_drops_writes;
+          Alcotest.test_case "one snapshot per eval under commits" `Quick
+            test_eval_reads_one_snapshot;
         ] );
     ]
