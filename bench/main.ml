@@ -1688,47 +1688,38 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Pull a float field for a named entry out of a report.  The report
-   format is ours (json_report above), so a string scan beats hauling
-   in a JSON parser the container may not have: find the name, then
-   the next occurrence of the field after it. *)
-let float_field_of ~json ~field name =
-  let needle = Fmt.str "\"name\": %S" name in
-  let nlen = String.length needle and len = String.length json in
-  let rec find i =
-    if i + nlen > len then None
-    else if String.sub json i nlen = needle then Some (i + nlen)
-    else find (i + 1)
+(* A float field of the report entry called [name], looked up in the
+   "benchmarks" and "speedups" lists. *)
+let entry_field ~report ~field name =
+  let entries key =
+    match Obs.Json.member key report with Some (Obs.Json.List l) -> l | _ -> []
   in
-  Option.bind (find 0) (fun start ->
-      let field = Fmt.str "\"%s\": " field in
-      let flen = String.length field in
-      let rec find_field i =
-        if i + flen > len then None
-        else if String.sub json i flen = field then Some (i + flen)
-        else find_field (i + 1)
-      in
-      Option.bind (find_field start) (fun v ->
-          let stop = ref v in
-          while
-            !stop < len
-            && (match json.[!stop] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-          do
-            incr stop
-          done;
-          float_of_string_opt (String.sub json v (!stop - v))))
+  List.find_map
+    (fun e ->
+      match Obs.Json.member "name" e with
+      | Some (Obs.Json.String n) when n = name ->
+          Option.bind (Obs.Json.member field e) Obs.Json.to_float
+      | _ -> None)
+    (entries "benchmarks" @ entries "speedups")
 
-let ns_per_op_of ~json name = float_field_of ~json ~field:"ns_per_op" name
-let speedup_of ~json name = float_field_of ~json ~field:"speedup" name
+let ns_per_op_of ~report name = entry_field ~report ~field:"ns_per_op" name
+let speedup_of ~report name = entry_field ~report ~field:"speedup" name
+
+let parse_report ~what text =
+  match Obs.Json.parse text with
+  | Ok j -> j
+  | Error e ->
+      Fmt.pr "FAIL: %s is not a JSON report: %s@." what e;
+      exit 1
 
 let run_check ~baseline_file =
-  let baseline = read_file baseline_file in
+  let baseline = parse_report ~what:baseline_file (read_file baseline_file) in
   Fmt.pr "measuring current tree (--small) against %s@." baseline_file;
-  let current = json_report ~small:true in
+  let current = parse_report ~what:"the current report" (json_report ~small:true) in
   let failures =
     List.filter_map
       (fun name ->
-        match (ns_per_op_of ~json:baseline name, ns_per_op_of ~json:current name) with
+        match (ns_per_op_of ~report:baseline name, ns_per_op_of ~report:current name) with
         | None, _ ->
             Fmt.pr "  %-32s not in baseline; skipped@." name;
             None
@@ -1747,7 +1738,7 @@ let run_check ~baseline_file =
   let floor_failures =
     List.filter_map
       (fun (name, floor) ->
-        match speedup_of ~json:current name with
+        match speedup_of ~report:current name with
         | None -> Some (Fmt.str "%s: missing from current report" name)
         | Some s ->
             Fmt.pr "  %-32s speedup %8.1fx  (floor %.1fx)@." name s floor;
@@ -1759,7 +1750,7 @@ let run_check ~baseline_file =
   let ceiling_failures =
     List.filter_map
       (fun (name, reference, ceiling) ->
-        match (ns_per_op_of ~json:current name, ns_per_op_of ~json:current reference) with
+        match (ns_per_op_of ~report:current name, ns_per_op_of ~report:current reference) with
         | Some x, Some r ->
             Fmt.pr "  %-32s %8.2fx %s  (ceiling %.1fx)@." name (x /. r) reference
               ceiling;

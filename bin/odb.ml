@@ -164,18 +164,11 @@ let lint_cmd file json code =
   let errors, warnings, infos = Diagnostic.count diags in
   let status = if List.exists Diagnostic.is_error diags then `Findings else `Ok in
   if json then
-    let diag_json d =
-      (* Diagnostic.to_json emits one object per diagnostic; embed it
-         structurally rather than as an opaque string *)
-      match J.parse (Diagnostic.to_json d) with
-      | Ok j -> j
-      | Error _ -> J.String (Diagnostic.to_json d)
-    in
     finish status
       ~data:
         (J.Obj
            [ ("file", J.String file);
-             ("diagnostics", J.List (List.map diag_json diags));
+             ("diagnostics", J.List (List.map Diagnostic.to_json diags));
              ("errors", J.Int errors);
              ("warnings", J.Int warnings);
              ("infos", J.Int infos)

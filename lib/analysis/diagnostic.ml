@@ -42,37 +42,14 @@ let pp ppf d =
   | None, None -> ());
   Fmt.pf ppf "%s[%s]: %s" (severity_to_string d.severity) d.code d.message
 
-(* Minimal JSON string escaping: quote, backslash, and control
-   characters.  The fields we emit never contain anything fancier. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let to_json d =
-  let fields =
-    [ Some ("code", json_string d.code);
-      Some ("severity", json_string (severity_to_string d.severity));
-      Option.map (fun f -> ("file", json_string f)) d.file;
-      Option.map (fun (l, _) -> ("line", string_of_int l)) d.position;
-      Option.map (fun (_, c) -> ("col", string_of_int c)) d.position;
-      Some ("message", json_string d.message)
-    ]
-    |> List.filter_map Fun.id
-  in
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields)
-  ^ "}"
+let to_json d : Tdp_obs.Json.t =
+  let module J = Tdp_obs.Json in
+  J.Obj
+    (List.filter_map Fun.id
+       [ Some ("code", J.String d.code);
+         Some ("severity", J.String (severity_to_string d.severity));
+         Option.map (fun f -> ("file", J.String f)) d.file;
+         Option.map (fun (l, _) -> ("line", J.Int l)) d.position;
+         Option.map (fun (_, c) -> ("col", J.Int c)) d.position;
+         Some ("message", J.String d.message)
+       ])

@@ -34,6 +34,6 @@ val count : t list -> int * int * int
     shrinks to what is known. *)
 val pp : t Fmt.t
 
-(** One-line JSON object with fields [code], [severity], [file], [line],
-    [col] (location fields only when known) and [message]. *)
-val to_json : t -> string
+(** JSON object with fields [code], [severity], [file], [line], [col]
+    (location fields only when known) and [message]. *)
+val to_json : t -> Tdp_obs.Json.t

@@ -712,11 +712,6 @@ let principal_json (p : Infer.principal) =
      J.List (List.map (fun a -> J.String (Attr_name.to_string a)) p.residuals))
   ]
 
-let diag_json d =
-  match J.parse (Diagnostic.to_json d) with
-  | Ok j -> j
-  | Error _ -> J.String (Diagnostic.to_json d)
-
 let attrs_json attrs =
   J.List (List.map (fun a -> J.String (Attr_name.to_string a)) attrs)
 
@@ -864,5 +859,5 @@ let to_json (o : outcome) : J.t =
                  J.List (List.map (fun k -> J.String (key_str k)) keys))
               ]
           | No_method -> [ ("selected", J.Null) ]))
-  | Diag d -> J.Obj [ ("diagnostic", diag_json d) ]
+  | Diag d -> J.Obj [ ("diagnostic", Diagnostic.to_json d) ]
   | Bye -> J.Obj [ ("bye", J.Bool true) ]

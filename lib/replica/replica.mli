@@ -8,8 +8,9 @@
 
     - [wal.log] records (plain ops, the [odb store] write path)
       directly to its [main] head, one published version per record;
-    - [txn.log] records (server commits) as whole [begin..commit]
-      brackets, mirroring {!Tdp_txn.Mvcc} replay: dangling brackets
+    - [txn.log] records (server commits) through
+      {!Tdp_txn.Mvcc.replay}, the replayer recovery itself folds over
+      the log: whole [begin..commit] brackets publish, dangling ones
       stay buffered and are never applied.
 
     Because a record applies only once its full line is present and

@@ -43,6 +43,12 @@ type watcher = { mutable touched : Oid.Set.t; mutable rebuild : bool }
 
 type delta = Rebuild | Touched of Oid.Set.t
 
+type rules = {
+  index : Schema_index.t;
+  layout : Type_name.t -> Attribute.t array;
+  target : Oid.t -> Type_name.t option;
+}
+
 type t = {
   mutable schema : Schema.t;
   mutable index : Schema_index.t;
@@ -132,19 +138,19 @@ let set_schema ?source t schema =
 
 let hierarchy t = Schema.hierarchy t.schema
 
-let attr_def t ty attr =
-  match Hierarchy.find_attribute (hierarchy t) ty attr with
-  | Some a -> a
-  | None ->
-      fail "type %s has no attribute %s" (Type_name.to_string ty)
-        (Attr_name.to_string attr)
-
 let find_loc t oid =
   match Hashtbl.find_opt t.locs oid with
   | Some l -> l
   | None -> fail "no object %a" Oid.pp oid
 
-let check_value t attr_ty v =
+(* ---- validation rules ----------------------------------------------- *)
+
+(* The one rule set every write path applies.  Reads of the store go
+   through [rules] (declared above [t]), so a store of another shape
+   (an MVCC snapshot) validates with the same decisions and the same
+   messages. *)
+
+let check_value (r : rules) attr_ty v =
   match (attr_ty, (v : Value.t)) with
   | _, Value.Null -> ()
   | Value_type.Prim p, v ->
@@ -152,16 +158,88 @@ let check_value t attr_ty v =
         fail "value %a does not conform to %s" Value.pp v
           (Value_type.prim_to_string p)
   | Value_type.Named n, Value.Ref o -> (
-      match Hashtbl.find_opt t.locs o with
+      match r.target o with
       | None -> fail "dangling reference %a" Oid.pp o
-      | Some l ->
-          let target_ty = l.l_block.Columns.b_ty in
-          if not (Schema_index.subtype t.index target_ty n) then
+      | Some target_ty ->
+          if not (Schema_index.subtype r.index target_ty n) then
             fail "object %a of type %s is not a %s" Oid.pp o
               (Type_name.to_string target_ty)
               (Type_name.to_string n))
   | Value_type.Named _, v -> fail "value %a is not an object reference" Value.pp v
   | Value_type.Unknown, _ -> ()
+
+(* Validate an init list against the layout of [ty] and return the
+   layout with the full row, one value per column.  The first
+   occurrence of a name wins; values are checked in layout order, then
+   every unknown init attribute is reported at once. *)
+let check_init (r : rules) ty init =
+  if not (Hierarchy.mem (Schema_index.hierarchy r.index) ty) then
+    fail "unknown type %s" (Type_name.to_string ty);
+  let layout = r.layout ty in
+  let init_map =
+    List.fold_left
+      (fun m (n, v) ->
+        if Attr_name.Map.mem n m then m else Attr_name.Map.add n v m)
+      Attr_name.Map.empty init
+  in
+  let unmatched = ref init_map in
+  let row =
+    Array.map
+      (fun a ->
+        let n = Attribute.name a in
+        match Attr_name.Map.find_opt n init_map with
+        | Some v ->
+            check_value r (Attribute.ty a) v;
+            unmatched := Attr_name.Map.remove n !unmatched;
+            v
+        | None -> Value.Null)
+      layout
+  in
+  if not (Attr_name.Map.is_empty !unmatched) then begin
+    let unknown =
+      List.fold_left
+        (fun acc (n, _) ->
+          if Attr_name.Map.mem n !unmatched && not (List.exists (Attr_name.equal n) acc)
+          then n :: acc
+          else acc)
+        [] init
+      |> List.rev
+    in
+    match unknown with
+    | [ n ] ->
+        fail "type %s has no attribute %s" (Type_name.to_string ty)
+          (Attr_name.to_string n)
+    | ns ->
+        fail "type %s has no attributes %s" (Type_name.to_string ty)
+          (String.concat ", " (List.map Attr_name.to_string ns))
+  end;
+  (layout, row)
+
+let no_attribute oid ty attr =
+  fail "object %a of type %s has no attribute %s" Oid.pp oid
+    (Type_name.to_string ty) (Attr_name.to_string attr)
+
+let check_set (r : rules) ty attr v =
+  match Hierarchy.find_attribute (Schema_index.hierarchy r.index) ty attr with
+  | Some a -> check_value r (Attribute.ty a) v
+  | None ->
+      fail "type %s has no attribute %s" (Type_name.to_string ty)
+        (Attr_name.to_string attr)
+
+let check_delete oid policy referrers =
+  match (policy, referrers) with
+  | Restrict, (other, attr) :: _ ->
+      fail "cannot delete %a: referenced by %a.%s" Oid.pp oid Oid.pp other
+        (Attr_name.to_string attr)
+  | _ -> ()
+
+let rules t =
+  { index = t.index;
+    layout = Schema_index.layout t.index;
+    target =
+      (fun o ->
+        Option.map (fun l -> l.l_block.Columns.b_ty) (Hashtbl.find_opt t.locs o))
+  }
 
 (* ---- reverse-reference index ---------------------------------------- *)
 
@@ -221,51 +299,6 @@ let head_block t ty =
 
 (* ---- object creation ------------------------------------------------ *)
 
-(* Validate an init list against the layout of [ty] and return the full
-   row, one value per column.  The init list is folded into a map once
-   (first occurrence of a name wins, as [List.find_opt] did); values
-   are checked in layout order, then every unknown init attribute is
-   reported at once. *)
-let build_row t ty ~init =
-  if not (Hierarchy.mem (hierarchy t) ty) then
-    fail "unknown type %s" (Type_name.to_string ty);
-  let layout = Schema_index.layout t.index ty in
-  let init_map =
-    List.fold_left
-      (fun m (n, v) ->
-        if Attr_name.Map.mem n m then m else Attr_name.Map.add n v m)
-      Attr_name.Map.empty init
-  in
-  let vals =
-    Array.map
-      (fun a ->
-        match Attr_name.Map.find_opt (Attribute.name a) init_map with
-        | Some v ->
-            check_value t (Attribute.ty a) v;
-            v
-        | None -> Value.Null)
-      layout
-  in
-  let known = Schema_index.layout_positions t.index ty in
-  let unknown =
-    List.fold_left
-      (fun acc (n, _) ->
-        if Attr_name.Map.mem n known || List.exists (Attr_name.equal n) acc then
-          acc
-        else n :: acc)
-      [] init
-    |> List.rev
-  in
-  (match unknown with
-  | [] -> ()
-  | [ n ] ->
-      fail "type %s has no attribute %s" (Type_name.to_string ty)
-        (Attr_name.to_string n)
-  | ns ->
-      fail "type %s has no attributes %s" (Type_name.to_string ty)
-        (String.concat ", " (List.map Attr_name.to_string ns)));
-  vals
-
 let insert_row t ty oid vals =
   let b = head_block t ty in
   let row = Columns.alloc b oid in
@@ -282,7 +315,7 @@ let insert_row t ty oid vals =
   Hashtbl.replace t.locs oid { l_block = b; l_row = row }
 
 let new_object t ty ~init =
-  let vals = build_row t ty ~init in
+  let _, vals = check_init (rules t) ty init in
   let oid = Oid.of_int t.next in
   record t (Op_new { oid; ty; init });
   t.next <- t.next + 1;
@@ -292,7 +325,7 @@ let new_object t ty ~init =
 (* Re-create an object under a fixed OID (used when loading a dump). *)
 let restore_object t ~oid ~ty ~init =
   if Hashtbl.mem t.locs oid then fail "oid %a already in use" Oid.pp oid;
-  let vals = build_row t ty ~init in
+  let _, vals = check_init (rules t) ty init in
   record t (Op_new { oid; ty; init });
   t.next <- max t.next (Oid.to_int oid + 1);
   insert_row t ty oid vals;
@@ -313,16 +346,12 @@ let find t oid =
 let type_of t oid = (find_loc t oid).l_block.Columns.b_ty
 let mem t oid = Hashtbl.mem t.locs oid
 
-let no_attr oid ty attr =
-  fail "object %a of type %s has no attribute %s" Oid.pp oid
-    (Type_name.to_string ty) (Attr_name.to_string attr)
-
 let get_attr t oid attr =
   let l = find_loc t oid in
   let b = l.l_block in
   match Columns.pos b attr with
   | Some col -> Columns.read b ~row:l.l_row ~col
-  | None -> no_attr oid b.Columns.b_ty attr
+  | None -> no_attribute oid b.Columns.b_ty attr
 
 (* Batch read with one location resolution — the materialized-view
    refresh loop reads every view attribute of a row at once. *)
@@ -333,7 +362,7 @@ let get_attrs t oid attrs =
     (fun attr ->
       match Columns.pos b attr with
       | Some col -> Columns.read b ~row:l.l_row ~col
-      | None -> no_attr oid b.Columns.b_ty attr)
+      | None -> no_attribute oid b.Columns.b_ty attr)
     attrs
 
 let set_attr t oid attr v =
@@ -342,10 +371,9 @@ let set_attr t oid attr v =
   let col =
     match Columns.pos b attr with
     | Some col -> col
-    | None -> no_attr oid b.Columns.b_ty attr
+    | None -> no_attribute oid b.Columns.b_ty attr
   in
-  let def = attr_def t b.Columns.b_ty attr in
-  check_value t (Attribute.ty def) v;
+  check_set (rules t) b.Columns.b_ty attr v;
   record t (Op_set { oid; attr; value = v });
   (match Columns.read b ~row:l.l_row ~col with
   | Value.Ref old -> remove_backref t ~target:old ~src:oid ~attr
@@ -421,11 +449,7 @@ let referrers t oid =
 let delete t ?(policy = Restrict) oid =
   let l = find_loc t oid in
   let refs = referrers t oid in
-  (match (policy, refs) with
-  | Restrict, (other, attr) :: _ ->
-      fail "cannot delete %a: referenced by %a.%s" Oid.pp oid Oid.pp other
-        (Attr_name.to_string attr)
-  | _ -> ());
+  check_delete oid policy refs;
   record t (Op_delete { oid; policy });
   touch t oid;
   (match policy with

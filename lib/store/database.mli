@@ -128,6 +128,39 @@ val fold_rows :
   ('a -> Oid.t -> Type_name.t -> (Attr_name.t * Value.t) list -> 'a) ->
   'a
 
+(** {2 Validation rules}
+
+    The checks every write path makes, with their messages: this
+    database's mutators and {!Tdp_txn.Mvcc}'s snapshot writes alike.
+    They read the store only through {!rules}.  All raise
+    {!Store_error}. *)
+
+type rules = {
+  index : Schema_index.t;  (** subtyping, and the hierarchy *)
+  layout : Type_name.t -> Attribute.t array;  (** a known type's state *)
+  target : Oid.t -> Type_name.t option;  (** the type of a live object *)
+}
+
+(** This database's rules: memoized layouts, its OID table. *)
+val rules : t -> rules
+
+(** Validate a creation's init list: the type is known, initialized
+    values conform (the first occurrence of a name wins), and all
+    unknown names are reported at once.  Returns the layout and the
+    row, one value per column, [Null] where uninitialized. *)
+val check_init :
+  rules -> Type_name.t -> (Attr_name.t * Value.t) list -> Attribute.t array * Value.t array
+
+(** May [attr] of an object of type [ty] take [v]?  References must
+    name a live object of a subtype. *)
+val check_set : rules -> Type_name.t -> Attr_name.t -> Value.t -> unit
+
+(** Raise the error for a slot the object's row does not hold. *)
+val no_attribute : Oid.t -> Type_name.t -> Attr_name.t -> 'a
+
+(** May [oid], referenced by [referrers], be deleted under [policy]? *)
+val check_delete : Oid.t -> delete_policy -> (Oid.t * Attr_name.t) list -> unit
+
 (** {2 Change feed}
 
     Between drains, a watcher collects, as a deduplicated OID set,

@@ -243,6 +243,12 @@ val close : writer -> unit
     @raise Database.Store_error when the op does not validate. *)
 val apply : ?load_schema:(string -> Schema.t) -> Database.t -> Database.op -> unit
 
+(** Why replaying a record failed, for a structured corruption
+    record: the message of a store, parse, log or schema error, or the
+    printed exception otherwise.  Every log replayer ends its prefix
+    through this, so none lets an exception escape. *)
+val replay_failure_reason : exn -> string
+
 type recovery = {
   db : Database.t;
   snapshot_seq : int;  (** wal-seq header of the snapshot, 0 if none *)

@@ -62,7 +62,7 @@ let test_json_escaping () =
     Diagnostic.make ~file:"a\"b.odb" ~position:(3, 7) ~code:"TDP000"
       ~severity:Diagnostic.Error "quote \" backslash \\ newline \n tab \t"
   in
-  let j = Diagnostic.to_json d in
+  let j = Tdp_obs.Json.to_string (Diagnostic.to_json d) in
   let contains ~sub s =
     let n = String.length sub and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -127,7 +127,7 @@ let test_inference_positions_and_json () =
   | Some d ->
       Alcotest.(check (option (pair int int))) "declaration position" (Some (7, 3))
         d.position;
-      let j = Diagnostic.to_json d in
+      let j = Tdp_obs.Json.to_string (Diagnostic.to_json d) in
       let contains ~sub s =
         let n = String.length sub and m = String.length s in
         let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in

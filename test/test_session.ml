@@ -333,6 +333,7 @@ let diff_stmts =
      pay_rate = 50.0; hrs_worked = 30.0 };";
     "new Employee { ssn = 2; name = \"bob\"; date_of_birth = year(1990); \
      pay_rate = 120.0; hrs_worked = 40.0 };";
+    "new Employee { ssn = 3; foo = 1; bar = 2 };";
     ":extent Cheap";
     "call income on Employee;";
     "call age on Cheap;";
