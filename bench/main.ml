@@ -289,16 +289,20 @@ let synth_for_methods m =
       seed = 11
     }
 
-(* Wall-clock timing for the sweep tables; bechamel covers the precise
-   single points. *)
+(* Wall-clock timing for the sweep tables (seconds per call); bechamel
+   covers the precise single points.  Not [Sys.time]: that is process
+   CPU time, blind to time spent waiting (an fsync) and summed across
+   domains. *)
+let wall_s () = Obs.Metrics.now_ns () /. 1e9
+
 let time_it f =
   let reps = ref 1 in
   let rec go () =
-    let t0 = Sys.time () in
+    let t0 = wall_s () in
     for _ = 1 to !reps do
       ignore (Sys.opaque_identity (f ()))
     done;
-    let dt = Sys.time () -. t0 in
+    let dt = wall_s () -. t0 in
     if dt < 0.02 && !reps < 1_000_000 then begin
       reps := !reps * 4;
       go ()
@@ -599,16 +603,14 @@ let table_s8 () =
     [ 100; 1000 ]
 
 (* ------------------------------------------------------------------ *)
-(* S9: MVCC commit throughput (in-memory store, fig1 schema)           *)
+(* S9: MVCC commit throughput (in-memory and durable stores, fig1)     *)
 (* ------------------------------------------------------------------ *)
 
 module Mvcc = Tdp_txn.Mvcc
 
-(* An in-memory MVCC store pre-populated with [n] Employee objects, so
+(* Populate [store] with [n] Employee objects in one commit, so
    concurrent writers can update disjoint rows without conflicting. *)
-let mvcc_fixture n =
-  let o = Fig1.project () in
-  let store = Mvcc.create o.schema in
+let mvcc_rows store n =
   let t = Mvcc.begin_ store in
   let oids =
     List.map
@@ -625,7 +627,12 @@ let mvcc_fixture n =
   (match Mvcc.commit t with
   | Ok _ -> ()
   | Error e -> failwith (Mvcc.commit_error_message e));
-  (store, Array.of_list oids)
+  Array.of_list oids
+
+(* An in-memory MVCC store pre-populated with [n] rows. *)
+let mvcc_fixture n =
+  let store = Mvcc.create (Fig1.project ()).schema in
+  (store, mvcc_rows store n)
 
 (* One update transaction against row [oid]; [false] means the commit
    lost a first-writer-wins race. *)
@@ -652,8 +659,47 @@ let concurrent_commits store oids ~workers ~per_worker =
   let dt = Unix.gettimeofday () -. t0 in
   (float_of_int (workers * per_worker) /. dt, Atomic.get conflicts)
 
+(* Durable commits: [writers] domains each committing [per_writer]
+   transactions on disjoint rows of a fresh fsync'd store directory.
+   Returns commits/s and fsyncs per commit, the latter the
+   [wal.fsync_ns] count over the timed commits (registry enabled for
+   the run, then restored). *)
+type durable = { d_writers : int; d_commits : int; d_rate : float; d_fsyncs : float }
+
+let durable_commits ~writers ~per_writer =
+  let dir = Filename.temp_file "tdp_bench_txn" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let o = Mvcc.open_dir ~sync:true ~schema:(Fig1.project ()).schema dir in
+      let store = o.Mvcc.store in
+      let oids = mvcc_rows store writers in
+      let was_on = Obs.Metrics.is_on () in
+      Obs.Metrics.enable ();
+      Obs.Metrics.reset ();
+      let rate, _ = concurrent_commits store oids ~workers:writers ~per_worker:per_writer in
+      let fsyncs =
+        match List.assoc_opt "wal.fsync_ns" (Obs.Metrics.snapshot ()).histograms with
+        | Some h -> h.Obs.Metrics.count
+        | None -> 0
+      in
+      if not was_on then Obs.Metrics.disable ();
+      Mvcc.close store;
+      let commits = writers * per_writer in
+      { d_writers = writers;
+        d_commits = commits;
+        d_rate = rate;
+        d_fsyncs = float_of_int fsyncs /. float_of_int commits
+      })
+
+let durable_name d = Fmt.str "txn/commit/durable/writers=%d" d.d_writers
+
 let table_s9 () =
-  section "S9: MVCC commit throughput (in-memory store, disjoint rows)";
+  section "S9: MVCC commit throughput (in-memory and durable stores, disjoint rows)";
   let store, oids = mvcc_fixture 64 in
   let t_serial = time_it (fun () -> ignore (commit_once store oids.(0) 11.0)) in
   row3 "serial commit"
@@ -664,7 +710,14 @@ let table_s9 () =
     (fun w ->
       let rate, conflicts = concurrent_commits store oids ~workers:w ~per_worker:200 in
       row3 (string_of_int w) (Fmt.str "%7.0f txn/s" rate) (string_of_int conflicts))
-    [ 1; 2; 4; 8 ]
+    [ 1; 2; 4; 8 ];
+  row3 "durable writer domains" "throughput" "fsyncs/commit";
+  List.iter
+    (fun writers ->
+      let d = durable_commits ~writers ~per_writer:400 in
+      row3 (string_of_int writers) (Fmt.str "%7.0f txn/s" d.d_rate)
+        (Fmt.str "%.2f" d.d_fsyncs))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Schema-index scaling sweep: layered diamond lattices                *)
@@ -1292,6 +1345,13 @@ let json_report ~small =
   ignore (bench_wal_replay s_schema s_wal ());
   let metrics_snapshot = Obs.Metrics.snapshot () in
   Obs.Metrics.disable ();
+  (* durable commits (S9): one write and at most one fsync per bracket,
+     shared by concurrent committers *)
+  let durable =
+    List.map
+      (fun writers -> durable_commits ~writers ~per_writer:(if small then 100 else 400))
+      [ 1; 2 ]
+  in
   let sweep = List.map sweep_point (sweep_sizes ~small) in
   let cols = List.map columnar_point (columnar_sizes ~small) in
   (* replica catch-up and routed extents (S11): fixed at 1000 records
@@ -1332,6 +1392,9 @@ let json_report ~small =
       { name = Fmt.str "txn/commit/concurrent-%d" txn_workers;
         ns_per_op = 1e9 /. txn_rate
       };
+    ]
+    @ List.map (fun d -> { name = durable_name d; ns_per_op = 1e9 /. d.d_rate }) durable
+    @ [
       { name = "obs/time/disabled"; ns_per_op = ns t_time_off };
       { name = "obs/with_span/disabled"; ns_per_op = ns t_span_off };
       { name = "obs/observe/enabled"; ns_per_op = ns t_observe_on };
@@ -1461,6 +1524,17 @@ let json_report ~small =
        "  \"txn\": { \"workers\": %d, \"commits\": %d, \"conflicts\": %d, \
         \"commits_per_sec\": %s },\n"
        txn_workers (txn_workers * txn_per_worker) txn_conflicts (f txn_rate));
+  Buffer.add_string buf
+    (Fmt.str "  \"txn_durable\": [ %s ],\n"
+       (String.concat ", "
+          (List.map
+             (fun d ->
+               Fmt.str
+                 "{ \"name\": %S, \"writers\": %d, \"commits\": %d, \
+                  \"commits_per_sec\": %s, \"fsyncs_per_commit\": %s }"
+                 (durable_name d) d.d_writers d.d_commits (f d.d_rate)
+                 (Fmt.str "%.3f" d.d_fsyncs))
+             durable)));
   Buffer.add_string buf
     (Fmt.str "  \"metrics\": %s,\n"
        (Obs.Json.to_string (Obs.Metrics.to_json metrics_snapshot)));
@@ -1682,6 +1756,12 @@ let required_ceilings =
       2.0 )
   ]
 
+(* Maxima on a field of an entry of the current --small report:
+   (entry, field, max).  One durable writer commits with one write and
+   one fsync per bracket; it took three fsyncs (begin, op, commit)
+   before group commit. *)
+let required_maxima = [ ("txn/commit/durable/writers=1", "fsyncs_per_commit", 1.0) ]
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -1689,7 +1769,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* A float field of the report entry called [name], looked up in the
-   "benchmarks" and "speedups" lists. *)
+   "benchmarks", "speedups" and "txn_durable" lists. *)
 let entry_field ~report ~field name =
   let entries key =
     match Obs.Json.member key report with Some (Obs.Json.List l) -> l | _ -> []
@@ -1700,7 +1780,7 @@ let entry_field ~report ~field name =
       | Some (Obs.Json.String n) when n = name ->
           Option.bind (Obs.Json.member field e) Obs.Json.to_float
       | _ -> None)
-    (entries "benchmarks" @ entries "speedups")
+    (entries "benchmarks" @ entries "speedups" @ entries "txn_durable")
 
 let ns_per_op_of ~report name = entry_field ~report ~field:"ns_per_op" name
 let speedup_of ~report name = entry_field ~report ~field:"speedup" name
@@ -1762,7 +1842,18 @@ let run_check ~baseline_file =
         | _ -> Some (Fmt.str "%s or %s: missing from current report" name reference))
       required_ceilings
   in
-  match failures @ floor_failures @ ceiling_failures with
+  let maximum_failures =
+    List.filter_map
+      (fun (name, field, max) ->
+        match entry_field ~report:current ~field name with
+        | None -> Some (Fmt.str "%s %s: missing from current report" name field)
+        | Some x ->
+            Fmt.pr "  %-32s %s %.3f  (max %.1f)@." name field x max;
+            if x > max then Some (Fmt.str "%s: %s %.3f above %.1f" name field x max)
+            else None)
+      required_maxima
+  in
+  match failures @ floor_failures @ ceiling_failures @ maximum_failures with
   | [] ->
       Fmt.pr "bench check OK@.";
       exit 0

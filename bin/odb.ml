@@ -483,6 +483,19 @@ let store_cmd action dir schema_file script_file json =
     | None -> ()
     | Some c -> Fmt.epr "warning: %a; recovered the prefix before it@." pp_corruption c
   in
+  (* Appending and checkpointing rewrite wal.log from the recovered
+     prefix.  That is right for a torn or corrupt tail, but a record
+     that decodes and does not replay is intact data: cutting there
+     would delete every record after it, so refuse and leave the log
+     byte-identical. *)
+  let refuse_unreplayable (r : Wal.recovery) =
+    match r.replay_failure with
+    | None -> ()
+    | Some c ->
+        die_msg
+          (Fmt.str "wal.log record %d (byte %d) does not replay: %s; the log is left intact"
+             c.at_seq c.offset c.reason)
+  in
   try
     match action with
     | Init ->
@@ -608,6 +621,7 @@ let store_cmd action dir schema_file script_file json =
               0
             end
         | Checkpoint ->
+            refuse_unreplayable r;
             warn_corruption r.corruption;
             Dump.save ~wal_seq:r.last_seq ~path:snapshot_path r.db;
             Wal.close (Wal.writer_create ~path:wal_path ~next_seq:(r.last_seq + 1) ());
@@ -624,6 +638,7 @@ let store_cmd action dir schema_file script_file json =
               | None -> die_msg "odb store append requires --script FILE"
             in
             let ops = parse_script sf in
+            refuse_unreplayable r;
             (match r.corruption with
             | Some c ->
                 Fmt.epr "warning: %a; truncating the torn tail@." pp_corruption c;

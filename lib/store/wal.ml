@@ -3,7 +3,9 @@ open Tdp_core
 (* Write-ahead log over the Dump value grammar.  See wal.mli for the
    record format and the recovery contract.  The design constraints:
 
-   - append must be cheap and sequential (one line, one fsync);
+   - append must be cheap and sequential: a batch of lines goes out in
+     one write, and concurrent writers share one fsync (group commit,
+     see [sync_upto] below);
    - decoding must be total: any byte prefix of a valid log, and any
      single-byte corruption of one, decodes to a clean prefix of the
      committed operations — the fault-injection suite checks literally
@@ -14,8 +16,10 @@ open Tdp_core
 
 exception Wal_error of string
 
-(* Observability: append latency splits into encode+write and fsync —
-   the fsync share is what journaling mode actually costs — and
+(* Observability: append latency (write until durable, waiting on a
+   shared fsync included) and the fsync itself — the fsync share is
+   what journaling mode actually costs, and its count against the
+   commit count shows how well fsyncs are shared — and
    recovery reports how many ops it replayed and how long the replay
    took.  Recording is gated inside Tdp_obs. *)
 module Obs = Tdp_obs
@@ -389,20 +393,36 @@ let tail_close t = try Unix.close t.tfd with Unix.Unix_error _ -> ()
 
 (* ---- appending ----------------------------------------------------- *)
 
-(* [committed] is the byte length of the durable record prefix: every
-   append that returned normally ends exactly there.  A failed append
-   (disk full, closed fd, failed fsync) may leave torn bytes beyond it
-   and may leave unflushable bytes in the channel buffer, so the writer
-   rolls the file back to [committed] (best-effort) and poisons itself:
-   the sequence counter is only ever bumped on success, so a poisoned
-   writer can never produce the gapped or shadowed seqs that [recover]
-   then refuses.  Re-open after {!repair} to resume. *)
+(* Appending is split in two so that concurrent committers can share an
+   fsync.  [write] frames a batch of records and hands it to the file
+   with one flush; [sync_upto] makes a prefix durable.  Whoever takes
+   [sync_lock] first while the prefix is short fsyncs everything
+   written so far (the leader); committers that queued behind it find
+   their bytes already covered and return without an fsync of their own
+   (the followers).  No timer, no batch size: a group is whatever was
+   written while the previous fsync ran.
+
+   [written] is the byte length of every complete write, [synced] the
+   durable prefix, [synced <= written].  A failed write or fsync leaves
+   bytes past [synced] whose durability nobody can promise, so the
+   writer truncates the file back to [synced] (best-effort) and poisons
+   itself: every commit of the unsynced group fails, and the sequence
+   counter, bumped only by complete writes, is never used again, so a
+   poisoned writer can never produce the gapped or shadowed seqs that
+   [recover] then refuses.  Re-open after {!repair} to resume.
+
+   Locks: [wlock] guards the channel, [next], [written] and [poisoned]
+   and is never held across an fsync; [sync_lock] serializes fsyncs and
+   the rollback.  Order: [sync_lock] before [wlock]. *)
 type writer = {
   oc : out_channel;
   magic : char;
-  mutable next : int;
   sync : bool;
-  mutable committed : int;
+  wlock : Mutex.t;
+  sync_lock : Mutex.t;
+  mutable next : int;
+  mutable written : int;
+  synced : int Atomic.t;
   mutable poisoned : bool;
 }
 
@@ -411,10 +431,19 @@ let writer_make flags ?(sync = true) ?(magic = 'w') ~path ~next_seq () =
   (* the open may have created the file: fsync the directory so the
      name itself survives a crash, not just later record fsyncs *)
   Dump.fsync_dir (Filename.dirname path);
-  let committed =
+  let size =
     try (Unix.fstat (Unix.descr_of_out_channel oc)).st_size with Unix.Unix_error _ -> 0
   in
-  { oc; magic; next = next_seq; sync; committed; poisoned = false }
+  { oc;
+    magic;
+    sync;
+    wlock = Mutex.create ();
+    sync_lock = Mutex.create ();
+    next = next_seq;
+    written = size;
+    synced = Atomic.make size;
+    poisoned = false
+  }
 
 let writer_create ?sync ?magic ~path ~next_seq () =
   writer_make [ Open_wronly; Open_creat; Open_trunc; Open_binary ] ?sync ?magic
@@ -424,37 +453,86 @@ let writer_open ?sync ?magic ~path ~next_seq () =
   writer_make [ Open_wronly; Open_creat; Open_append; Open_binary ] ?sync ?magic
     ~path ~next_seq ()
 
-let append_payload w payload =
-  if w.poisoned then
-    fail "wal writer is poisoned by an earlier failed append; repair and reopen";
-  Obs.Metrics.time m_append_ns (fun () ->
-      let seq = w.next in
-      let record = encode_line ~magic:w.magic ~seq payload in
-      match
-        output_string w.oc record;
-        flush w.oc;
-        if w.sync then
+let poisoned_error () =
+  fail "wal writer is poisoned by an earlier failed append; repair and reopen"
+
+(* Poison the writer and cut the file back to the durable prefix; the
+   caller holds [sync_lock].  Whether or not the truncation works the
+   writer is done: the channel buffer may still hold bytes we cannot
+   retract. *)
+let roll_back w =
+  Mutex.protect w.wlock (fun () ->
+      w.poisoned <- true;
+      try Unix.ftruncate (Unix.descr_of_out_channel w.oc) (Atomic.get w.synced)
+      with _ -> ())
+
+(* Frame [payloads] with consecutive seqs and write them with one
+   flush; returns the first seq and the byte offset the batch ends at. *)
+let write_batch w payloads =
+  let result =
+    Mutex.protect w.wlock (fun () ->
+        if w.poisoned then poisoned_error ();
+        let first = w.next in
+        let buf = Buffer.create 256 in
+        List.iteri
+          (fun i p -> Buffer.add_string buf (encode_line ~magic:w.magic ~seq:(first + i) p))
+          payloads;
+        match
+          Buffer.output_buffer w.oc buf;
+          flush w.oc
+        with
+        | () ->
+            let n = List.length payloads in
+            w.next <- first + n;
+            w.written <- w.written + Buffer.length buf;
+            (* without fsync a complete write is as durable as it gets *)
+            if not w.sync then Atomic.set w.synced w.written;
+            Obs.Metrics.add m_append n;
+            Ok (first, w.written)
+        | exception exn ->
+            (* refuse further writes at once; the rollback needs
+               [sync_lock], taken after this lock is released *)
+            w.poisoned <- true;
+            Error exn)
+  in
+  match result with
+  | Ok r -> r
+  | Error exn ->
+      Mutex.protect w.sync_lock (fun () -> roll_back w);
+      raise exn
+
+let write w payloads = snd (write_batch w payloads)
+
+let sync_upto ?since w offset =
+  Mutex.protect w.sync_lock (fun () ->
+      let target, poisoned = Mutex.protect w.wlock (fun () -> (w.written, w.poisoned)) in
+      if Atomic.get w.synced < min offset target then begin
+        if poisoned then poisoned_error ();
+        match
           Obs.Metrics.time m_fsync_ns (fun () ->
               Unix.fsync (Unix.descr_of_out_channel w.oc))
-      with
-      | () ->
-          w.next <- seq + 1;
-          w.committed <- w.committed + String.length record;
-          Obs.Metrics.incr m_append;
-          seq
-      | exception exn ->
-          (* roll the file back to the last record boundary; whether or
-             not that works, the writer is done — the channel buffer may
-             still hold bytes we cannot retract *)
-          (try
-             Unix.ftruncate (Unix.descr_of_out_channel w.oc) w.committed
-           with _ -> ());
-          w.poisoned <- true;
-          raise exn)
+        with
+        | () -> Atomic.set w.synced target
+        | exception exn ->
+            roll_back w;
+            raise exn
+      end;
+      match since with
+      | Some t0 -> Obs.Metrics.observe m_append_ns (Obs.Metrics.now_ns () -. t0)
+      | None -> ())
+
+let start_ns () = if Obs.Metrics.is_on () then Some (Obs.Metrics.now_ns ()) else None
+
+let append_payload w payload =
+  let since = start_ns () in
+  let seq, ends = write_batch w [ payload ] in
+  sync_upto ?since w ends;
+  seq
 
 let append w op = append_payload w (payload_to_string op)
-let writer_seq w = w.next
-let writer_poisoned w = w.poisoned
+let writer_seq w = Mutex.protect w.wlock (fun () -> w.next)
+let writer_synced w = Atomic.get w.synced
+let writer_poisoned w = Mutex.protect w.wlock (fun () -> w.poisoned)
 let writer_fd w = Unix.descr_of_out_channel w.oc
 
 let attach w db = Database.set_journal db (Some (fun op -> ignore (append w op)))
@@ -479,6 +557,7 @@ type recovery = {
   last_seq : int;
   wal_valid_bytes : int;
   corruption : corruption option;
+  replay_failure : corruption option;
 }
 
 (* Any exception from replaying an op ends the usable prefix with a
@@ -496,7 +575,9 @@ let replay_failure_reason = function
    recovery never materializes the log: skip records the snapshot
    already contains, refuse gaps between snapshot and log, and treat
    an op that fails to apply as the end of the usable prefix —
-   recovery reports, it does not raise. *)
+   recovery reports, it does not raise.  The last two end the prefix
+   on intact records, so they are reported as a replay failure too:
+   cutting the log there would delete every record after it. *)
 let recover_cursor ?load_schema ~schema ?snapshot cur =
   let db = Database.create schema in
   let snapshot_seq =
@@ -512,8 +593,8 @@ let recover_cursor ?load_schema ~schema ?snapshot cur =
         let corruption =
           if cursor_pending cur then Some (torn_corruption cur) else None
         in
-        (replayed, last_seq, valid, corruption)
-    | Corrupt corruption -> (replayed, last_seq, valid, Some corruption)
+        (replayed, last_seq, valid, corruption, false)
+    | Corrupt corruption -> (replayed, last_seq, valid, Some corruption, false)
     | Record e when e.fseq <= snapshot_seq ->
         run ~replayed ~last_seq ~valid:e.fends_at
     | Record e ->
@@ -527,7 +608,8 @@ let recover_cursor ?load_schema ~schema ?snapshot cur =
                 reason =
                   Fmt.str "sequence gap: recovered to %d, log resumes at %d"
                     last_seq e.fseq
-              } )
+              },
+            true )
         else (
           match apply ?load_schema db e.fvalue with
           | () -> run ~replayed:(replayed + 1) ~last_seq:e.fseq ~valid:e.fends_at
@@ -539,12 +621,14 @@ let recover_cursor ?load_schema ~schema ?snapshot cur =
                   { at_seq = e.fseq;
                     offset = valid;
                     reason = replay_failure_reason exn
-                  } ))
+                  },
+                true ))
   in
-  let replayed, last_seq, wal_valid_bytes, corruption =
+  let replayed, last_seq, wal_valid_bytes, corruption, unreplayable =
     run ~replayed:0 ~last_seq:snapshot_seq ~valid:0
   in
-  { db; snapshot_seq; replayed; last_seq; wal_valid_bytes; corruption }
+  let replay_failure = if unreplayable then corruption else None in
+  { db; snapshot_seq; replayed; last_seq; wal_valid_bytes; corruption; replay_failure }
 
 let recover_text_uninstrumented ?load_schema ~schema ?snapshot ?wal () =
   let cur =

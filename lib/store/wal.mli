@@ -187,14 +187,20 @@ val tail_close : _ tail -> unit
     repair after a torn append, before appending again. *)
 val repair : path:string -> int -> unit
 
-(** {1 Appending} *)
+(** {1 Appending}
+
+    Appending is two steps, so that concurrent writers can share one
+    fsync (group commit): {!write} hands a batch of records to the file
+    with one flush, {!sync_upto} makes a prefix of the file durable.
+    {!append} is the two back to back. *)
 
 type writer
 
-(** Create (truncate) a WAL at [path].  [sync] (default [true]) fsyncs
-    after every appended record; [magic] (default ['w']) is the record
-    magic for layered log formats.  The parent directory is fsync'd so
-    the file's creation is itself durable. *)
+(** Create (truncate) a WAL at [path].  [sync] (default [true]) makes
+    {!sync_upto} fsync; without it a record counts as durable once
+    written.  [magic] (default ['w']) is the record magic for layered
+    log formats.  The parent directory is fsync'd so the file's
+    creation is itself durable. *)
 val writer_create :
   ?sync:bool -> ?magic:char -> path:string -> next_seq:int -> unit -> writer
 
@@ -205,23 +211,49 @@ val writer_create :
 val writer_open :
   ?sync:bool -> ?magic:char -> path:string -> next_seq:int -> unit -> writer
 
-(** Append one record; returns its sequence number.
+(** [write w payloads] frames [payloads] as records with consecutive
+    sequence numbers and writes them with one flush, without an fsync;
+    returns the byte offset just past the last of them.  Safe to call
+    from several threads, and while another thread is in {!sync_upto}.
 
     Failure atomicity: the sequence counter advances only when the
-    record (and its fsync, in sync mode) fully succeeded.  A failed
-    append rolls the file back to the last record boundary
-    (best-effort) and {e poisons} the writer — every later append
-    raises {!Wal_error} instead of writing records that a torn tail
-    would make unreachable or that would gap the sequence.  Recover the
-    path with {!repair} and a fresh writer. *)
+    whole batch was written.  A failed write, like a failed fsync,
+    rolls the file back to the durable prefix (best-effort) and
+    {e poisons} the writer — every later write raises {!Wal_error}
+    instead of writing records that a torn tail would make unreachable
+    or that would gap the sequence.  Recover the path with {!repair}
+    and a fresh writer. *)
+val write : writer -> string list -> int
+
+(** [sync_upto w offset] returns once every byte before [offset] is
+    durable (an [offset] past the end means everything written so
+    far).  It takes the writer's sync lock; if an fsync that finished
+    meanwhile already covers [offset] it returns at once, otherwise it
+    fsyncs everything written so far — one fsync for every writer
+    whose bytes it covers.  A failed fsync rolls the file back to the
+    previous durable prefix and poisons the writer, so every write it
+    would have covered fails too.  [since] is the clock reading when
+    the caller's write began; the write-to-durable latency is then
+    recorded as [wal.append_ns].  Without [sync] this returns at once.
+    @raise Wal_error if [offset] is not durable and the writer is
+    poisoned. *)
+val sync_upto : ?since:float -> writer -> int -> unit
+
+(** Append one record and sync it; returns its sequence number. *)
 val append : writer -> Database.op -> int
 
 (** {!append} for layered formats: frame and append a raw payload. *)
 val append_payload : writer -> string -> int
 
+(** The sequence number the next written record will carry. *)
 val writer_seq : writer -> int
 
-(** Has this writer been poisoned by a failed append? *)
+(** Byte length of the durable prefix: how far the last successful
+    fsync reached (everything written, without [sync]).  Read-only;
+    never moves backwards. *)
+val writer_synced : writer -> int
+
+(** Has this writer been poisoned by a failed write or fsync? *)
 val writer_poisoned : writer -> bool
 
 (** The writer's underlying descriptor — exposed so fault-injection
@@ -255,7 +287,14 @@ type recovery = {
   replayed : int;  (** WAL records applied on top of the snapshot *)
   last_seq : int;  (** last applied sequence number (snapshot included) *)
   wal_valid_bytes : int;  (** prefix length to keep when repairing *)
-  corruption : corruption option;
+  corruption : corruption option;  (** why the replayable prefix ended, if early *)
+  replay_failure : corruption option;
+      (** [corruption] again when the prefix ended on an intact record —
+          one that decodes but does not apply, or a sequence gap between
+          snapshot and log — rather than on a torn, bad-checksum or
+          out-of-sequence tail.  Only a damaged tail may be {!repair}ed
+          away: cutting at an intact record deletes every record after
+          it. *)
 }
 
 (** Recover a database from snapshot and WAL {e contents}.  Loads the

@@ -22,13 +22,26 @@ module Obs = Tdp_obs
    conflict detection: if any version committed to the branch since
    [base] wrote an object this transaction also wrote (or either side
    swapped the schema), the transaction aborts.  Surviving transactions
-   are re-applied to the *current* head (catching read-write races that
+   are re-applied to the branch *tip* (catching read-write races that
    write-set intersection cannot see, e.g. a new reference to an object
-   a later commit deleted), logged as a begin..commit bracket in the
-   transaction log, and only then published.  The log append precedes
-   publication, so the log is always at least as new as memory; a crash
-   mid-bracket leaves a begin without its commit and replay discards
-   it — no torn state.
+   a later commit deleted) and written as one begin..commit bracket to
+   the transaction log; a crash mid-bracket leaves a begin without its
+   commit and replay discards it — no torn state.
+
+   Head and tip (as in HyPer's MVCC, which also separates the version
+   a committer validates against from the one readers are shown): the
+   tip is the newest version whose bracket is in the log, the head the
+   newest one an fsync has covered.  Committers validate against the
+   tip, so a second committer cannot slip a conflicting write past one
+   that is still waiting for its fsync; readers ([head], [begin_],
+   served reads) see only the head, so a version is durable before it
+   is visible.  The fsync runs after the store lock is released
+   ([Wal.sync_upto]), so committers that wrote meanwhile share it and
+   readers never queue behind it; each committer then publishes under
+   the lock.  A failed group fsync aborts every commit it would have
+   covered: the tip falls back to the head and their write sets leave
+   the history.  Without fsync ([sync = false]) head and tip move
+   together.
 
    Domain-safety inventory (OCaml 5: reader domains run lock-free over
    snapshots): [Oid.Map]/[Attr_name.Map] are immutable; the schema
@@ -37,7 +50,9 @@ module Obs = Tdp_obs
    [Hierarchy] attribute walks — never the lazily-memoized
    [ancestor_set]/[cpl] entry points.  [Obs.Metrics] is not
    thread-safe, so every metric below is recorded while holding the
-   store lock. *)
+   store lock; the log's [wal.fsync_ns] and [wal.append_ns] are
+   recorded under its sync lock instead, since the fsync runs outside
+   the store lock. *)
 
 let fail fmt = Fmt.kstr (fun s -> raise (Database.Store_error s)) fmt
 let main_branch = "main"
@@ -206,17 +221,23 @@ let writes_conflict a b =
 let recent_limit = 1024
 
 type branch = {
-  mutable head : snapshot;
-  mutable recent : (int * writes) list;  (* newest first *)
+  mutable head : snapshot;  (* durable: what readers are shown *)
+  mutable tip : snapshot;  (* logged: what committers validate against *)
+  mutable recent : (int * writes) list;  (* newest first, tip included *)
   mutable floor : int;  (* write sets of versions <= floor were discarded *)
 }
 
+(* A commit whose bracket ends at [p_ends] in [p_log], waiting for an
+   fsync to cover it before [p_snap] may become its branch's head. *)
+type pending = { p_branch : branch; p_snap : snapshot; p_log : Wal.writer; p_ends : int }
+
 type t = {
   lock : Mutex.t;
-  mutable version : int;  (* last committed version, across all branches *)
+  mutable version : int;  (* last version handed out, across all branches *)
   mutable next_txid : int;
   branches : (string, branch) Hashtbl.t;
   mutable writer : Wal.writer option;
+  mutable unsynced : pending list;  (* newest first *)
   load_schema : (string -> Schema.t) option;
   mutable dir : string option;
   mutable wal_seq : int;  (* last wal.log record folded into the base state *)
@@ -236,12 +257,14 @@ let find_branch t name =
 
 let make ?load_schema ?(sync = true) base =
   let branches = Hashtbl.create 8 in
-  Hashtbl.replace branches main_branch { head = base; recent = []; floor = base.version };
+  Hashtbl.replace branches main_branch
+    { head = base; tip = base; recent = []; floor = base.version };
   { lock = Mutex.create ();
     version = base.version;
     next_txid = 1;
     branches;
     writer = None;
+    unsynced = [];
     load_schema;
     dir = None;
     wal_seq = 0;
@@ -383,14 +406,44 @@ let set_schema txn ~source =
   check_open txn;
   stage txn (Database.Op_set_schema { source })
 
+(* Publish every pending commit that [w]'s durable prefix now covers;
+   the caller holds the lock.  Commits on one branch are logged in
+   version order, so the newest covered one wins. *)
+let settle t w =
+  let synced = Wal.writer_synced w in
+  t.unsynced <-
+    List.filter
+      (fun p ->
+        let covered = p.p_log == w && p.p_ends <= synced in
+        if covered && p.p_branch.head.version < p.p_snap.version then
+          p.p_branch.head <- p.p_snap;
+        not covered)
+      t.unsynced
+
+(* [w] failed (it is poisoned and rolled back to its durable prefix):
+   publish what did become durable and drop the rest — every branch's
+   tip falls back to its head and the dropped write sets leave the
+   history, so later commits are not checked against versions that
+   never happened.  The caller holds the lock. *)
+let abandon t w =
+  settle t w;
+  t.unsynced <- [];
+  Hashtbl.iter
+    (fun _ br ->
+      br.tip <- br.head;
+      br.recent <- List.filter (fun (v, _) -> v <= br.head.version) br.recent)
+    t.branches
+
 (* Abort records are audit trail, not correctness: losers never logged
    their ops (brackets are written only at commit), so replay needs no
-   cancellation.  A failure to record one must not mask the abort. *)
+   cancellation, and the record is written without an fsync of its own
+   (the next commit's covers it).  A failure to record one must not
+   mask the abort. *)
 let log_abort t txn reason =
   match t.writer with
   | Some w when txn.ops <> [] && not (Wal.writer_poisoned w) -> (
-      try ignore (Txn_log.append w (Txn_log.Abort { txid = txn.txid; reason }))
-      with Wal.Wal_error _ | Sys_error _ | Unix.Unix_error _ -> ())
+      try ignore (Txn_log.write w [ Txn_log.Abort { txid = txn.txid; reason } ])
+      with Wal.Wal_error _ | Sys_error _ | Unix.Unix_error _ -> abandon t w)
   | _ -> ()
 
 let abort ?(reason = "aborted by client") txn =
@@ -404,7 +457,7 @@ let abort ?(reason = "aborted by client") txn =
           log_abort txn.store txn reason)
 
 let first_writer_wins br txn =
-  if txn.base.version = br.head.version then None
+  if txn.base.version = br.tip.version then None
   else if txn.base.version < br.floor then
     Some
       (Fmt.str "base version %d predates the retained write-set history (floor %d)"
@@ -435,16 +488,91 @@ let trim_recent br =
       br.recent <- kept;
       br.floor <- v
 
-(* Install [snap] as [br]'s head under the next version and record
-   its write set — the one way a head moves, for commits, replica
-   publication and log replay alike.  The caller holds the lock. *)
-let install t br snap writes =
+(* Stamp [snap] with the next version and make it [br]'s tip,
+   recording its write set — the one way a version is made, for
+   commits, replica publication and log replay alike; the caller
+   publishes it as the head.  The caller holds the lock. *)
+let extend t br (snap : snapshot) writes =
   let v = t.version + 1 in
   t.version <- v;
-  br.head <- { snap with version = v };
+  let snap = { snap with version = v } in
+  br.tip <- snap;
   br.recent <- (v, writes) :: br.recent;
   trim_recent br;
-  v
+  snap
+
+let started () = if Obs.Metrics.is_on () then Some (Obs.Metrics.now_ns ()) else None
+
+let record_since h = function
+  | Some t0 -> Obs.Metrics.observe h (Obs.Metrics.now_ns () -. t0)
+  | None -> ()
+
+let abort_commit txn reason =
+  txn.state <- Aborted reason;
+  Obs.Metrics.incr m_abort
+
+let conflict t txn reason =
+  abort_commit txn reason;
+  Obs.Metrics.incr m_conflict;
+  log_abort t txn reason;
+  Error (Conflict reason)
+
+let committed txn (snap : snapshot) =
+  txn.state <- Committed snap.version;
+  Obs.Metrics.incr m_commit;
+  Ok snap.version
+
+(* The locked half of a commit: validate against the tip, write the
+   bracket, extend the tip.  [`Done] when the commit is over (a
+   conflict, or a store without fsync that published at once), [`Sync]
+   when the bracket still needs its fsync. *)
+let log_commit t txn =
+  check_live t;
+  let br = find_branch t txn.txn_branch in
+  match first_writer_wins br txn with
+  | Some reason -> `Done (conflict t txn reason)
+  | None -> (
+      let ops = List.rev txn.ops in
+      (* Re-validate against the tip: write-set intersection cannot see
+         read-write races (e.g. a staged reference to an object a later
+         commit deleted), re-application does. *)
+      match List.fold_left (fun snap op -> apply ?load_schema:t.load_schema snap op) br.tip ops with
+      | exception Database.Store_error msg ->
+          `Done (conflict t txn ("no longer applies to the branch head: " ^ msg))
+      | snap -> (
+          match t.writer with
+          | None ->
+              let snap = extend t br snap txn.writes in
+              br.head <- snap;
+              `Done (committed txn snap)
+          | Some w -> (
+              (* Write-ahead: the whole bracket goes out in one write
+                 before the tip moves.  A crash (or failed write)
+                 mid-bracket leaves a begin without a commit record,
+                 which replay discards. *)
+              let since = started () in
+              let bracket =
+                (Txn_log.Begin { txid = txn.txid; branch = txn.txn_branch }
+                :: List.map (fun op -> Txn_log.Op { txid = txn.txid; op }) ops)
+                @ [ Txn_log.Commit { txid = txn.txid } ]
+              in
+              match Txn_log.write w bracket with
+              | exception exn ->
+                  abandon t w;
+                  abort_commit txn "transaction log write failed";
+                  raise exn
+              | ends ->
+                  let snap = extend t br snap txn.writes in
+                  if t.sync then begin
+                    t.unsynced <-
+                      { p_branch = br; p_snap = snap; p_log = w; p_ends = ends } :: t.unsynced;
+                    `Sync (w, ends, since, snap)
+                  end
+                  else begin
+                    Wal.sync_upto ?since w ends;
+                    br.head <- snap;
+                    `Done (committed txn snap)
+                  end)))
 
 let commit txn =
   match txn.state with
@@ -455,64 +583,28 @@ let commit txn =
       txn.state <- Committed txn.base.version;
       locked txn.store (fun () -> Obs.Metrics.incr m_commit);
       Ok txn.base.version
-  | Open ->
+  | Open -> (
       let t = txn.store in
-      locked t (fun () ->
-          Obs.Metrics.time m_commit_ns (fun () ->
-              check_live t;
-              let br = find_branch t txn.txn_branch in
-              match first_writer_wins br txn with
-              | Some reason ->
-                  txn.state <- Aborted reason;
-                  Obs.Metrics.incr m_conflict;
-                  Obs.Metrics.incr m_abort;
-                  log_abort t txn reason;
-                  Error (Conflict reason)
-              | None -> (
-                  let ops = List.rev txn.ops in
-                  (* Re-validate against the current head: write-set
-                     intersection cannot see read-write races (e.g. a
-                     staged reference to an object a later commit
-                     deleted), re-application does. *)
-                  match
-                    List.fold_left
-                      (fun snap op -> apply ?load_schema:t.load_schema snap op)
-                      br.head ops
-                  with
-                  | exception Database.Store_error msg ->
-                      let reason = "no longer applies to the branch head: " ^ msg in
-                      txn.state <- Aborted reason;
-                      Obs.Metrics.incr m_conflict;
-                      Obs.Metrics.incr m_abort;
-                      log_abort t txn reason;
-                      Error (Conflict reason)
-                  | snap -> (
-                      (* Write-ahead: the whole bracket hits the log
-                         before the head moves.  A crash (or append
-                         failure) mid-bracket leaves a begin without a
-                         commit record, which replay discards. *)
-                      match
-                        match t.writer with
-                        | None -> ()
-                        | Some w ->
-                            ignore
-                              (Txn_log.append w
-                                 (Txn_log.Begin { txid = txn.txid; branch = txn.txn_branch }));
-                            List.iter
-                              (fun op ->
-                                ignore (Txn_log.append w (Txn_log.Op { txid = txn.txid; op })))
-                              ops;
-                            ignore (Txn_log.append w (Txn_log.Commit { txid = txn.txid }))
-                      with
-                      | exception exn ->
-                          txn.state <- Aborted "transaction log append failed";
-                          Obs.Metrics.incr m_abort;
-                          raise exn
-                      | () ->
-                          let v = install t br snap txn.writes in
-                          txn.state <- Committed v;
-                          Obs.Metrics.incr m_commit;
-                          Ok v))))
+      let t0 = started () in
+      let finish f =
+        locked t (fun () ->
+            Fun.protect ~finally:(fun () -> record_since m_commit_ns t0) f)
+      in
+      match finish (fun () -> log_commit t txn) with
+      | `Done result -> result
+      | `Sync (w, ends, since, snap) -> (
+          (* Outside the lock: committers that wrote meanwhile share
+             this fsync, and readers do not wait for it. *)
+          match Wal.sync_upto ?since w ends with
+          | () ->
+              finish (fun () ->
+                  settle t w;
+                  committed txn snap)
+          | exception exn ->
+              finish (fun () ->
+                  abandon t w;
+                  abort_commit txn "transaction log fsync failed");
+              raise exn))
 
 (* ---- replication support ------------------------------------------- *)
 
@@ -529,7 +621,12 @@ let writes_of ops = List.fold_left writes_add no_writes ops
 let publish t ~branch ~ops snap =
   locked t (fun () ->
       check_live t;
-      install t (find_branch t branch) snap (writes_of ops))
+      let br = find_branch t branch in
+      let snap = extend t br snap (writes_of ops) in
+      br.head <- snap;
+      snap.version)
+
+let log_writer t = locked t (fun () -> t.writer)
 
 let log_seqs t =
   locked t (fun () ->
@@ -539,14 +636,15 @@ let log_seqs t =
 (* ---- branches ------------------------------------------------------ *)
 
 (* Create [branch] at [from_]'s head once [log] has recorded the
-   fork; the caller holds the lock. *)
+   fork; the caller holds the lock.  The fork record's fsync covers
+   every bracket logged before it, so by then the head is the tip. *)
 let add_branch t ~from_ ~branch ~log =
   if not (Txn_log.valid_branch_name branch) then fail "invalid branch name %S" branch;
   if Hashtbl.mem t.branches branch then fail "branch %s already exists" branch;
   let src = find_branch t from_ in
   log ();
   Hashtbl.replace t.branches branch
-    { head = src.head; recent = []; floor = src.head.version };
+    { head = src.head; tip = src.head; recent = []; floor = src.head.version };
   src.head.version
 
 let fork t ~from_ ~branch =
@@ -555,7 +653,12 @@ let fork t ~from_ ~branch =
       add_branch t ~from_ ~branch ~log:(fun () ->
           match t.writer with
           | None -> ()
-          | Some w -> ignore (Txn_log.append w (Txn_log.Fork { branch; from_ }))))
+          | Some w -> (
+              match Txn_log.append w (Txn_log.Fork { branch; from_ }) with
+              | _ -> settle t w
+              | exception exn ->
+                  abandon t w;
+                  raise exn)))
 
 (* ---- transaction-log replay ----------------------------------------- *)
 
@@ -622,7 +725,7 @@ let replay r ~start (e : Txn_log.record Wal.framed) =
             | Some b ->
                 Hashtbl.remove r.pending txid;
                 let br = find_branch t b.b_branch in
-                Some (b, br, br.head)))
+                Some (b, br, br.tip)))
   with
   | exception exn -> stop ~seq:e.Wal.fseq ~offset:start (Wal.replay_failure_reason exn)
   | None -> Ok ()
@@ -633,7 +736,7 @@ let replay r ~start (e : Txn_log.record Wal.framed) =
           stop ~seq:b.b_seq ~offset:b.b_start
             ("replayed transaction no longer applies: " ^ Wal.replay_failure_reason exn)
       | snap ->
-          ignore (locked t (fun () -> install t br snap (writes_of ops)));
+          locked t (fun () -> br.head <- extend t br snap (writes_of ops));
           Ok ())
 
 (* ---- recovery ------------------------------------------------------ *)
@@ -740,9 +843,23 @@ let open_dir ?load_schema ?(sync = true) ~schema dir =
 
 (* ---- checkpoint and close ------------------------------------------ *)
 
+(* Make every written bracket durable and published; the caller holds
+   the lock.  A checkpoint must not absorb a txn seq whose bracket is
+   not in the snapshot it writes, and a closed writer fsyncs nothing. *)
+let drain t =
+  match t.writer with
+  | None -> ()
+  | Some w -> (
+      match Wal.sync_upto w max_int with
+      | () -> settle t w
+      | exception exn ->
+          abandon t w;
+          raise exn)
+
 let checkpoint t =
   locked t (fun () ->
       check_live t;
+      drain t;
       match t.dir with
       | None -> fail "checkpoint requires a directory-backed store"
       | Some dir ->
@@ -778,6 +895,7 @@ let close t =
   locked t (fun () ->
       if not t.closed then begin
         t.closed <- true;
+        (try drain t with _ -> ());
         (match t.writer with None -> () | Some w -> Wal.close w);
         t.writer <- None
       end)

@@ -14,11 +14,19 @@
     conflict detection: if any version committed to the branch since
     the base wrote an object this transaction also wrote (or either
     side swapped the schema), the transaction aborts with
-    [Conflict].  Surviving transactions are logged as a
-    [begin]..[commit] bracket in the {!Txn_log} {e before} the head
+    [Conflict].  Surviving transactions are written as one
+    [begin]..[commit] bracket to the {!Txn_log} {e before} the branch
     moves, so a crash mid-commit leaves a dangling bracket that replay
     discards — recovery always yields the last fully committed
     version, never torn state.
+
+    Group commit: a branch has a {e tip}, the newest version whose
+    bracket is in the log, and a {e head}, the newest one an fsync has
+    covered.  Commits validate against the tip; readers ({!head},
+    {!begin_}) see only the head, so a version is durable before it is
+    visible.  The fsync runs outside the store lock and is shared by
+    every committer whose bracket it covers (see
+    {!Tdp_store.Wal.sync_upto}); a failed one aborts all of them.
 
     Domain-safety: reader domains may call every snapshot accessor
     below concurrently and lock-free; store operations ({!head},
@@ -88,7 +96,8 @@ val head : t -> branch:string -> snapshot
 (** All branches with their head versions, sorted by name. *)
 val branches : t -> (string * int) list
 
-(** The last committed version across all branches. *)
+(** The last version handed to a commit across all branches,
+    including commits still waiting for their fsync. *)
 val current_version : t -> int
 
 (** Create branch [branch] from the head of [from_]; returns the
@@ -130,8 +139,11 @@ val set_schema : txn -> source:string -> unit
     conflict (a conflict {e is} an abort: the transaction is dead and
     the conflict was recorded in the log); [Error (Invalid _)] the
     transaction was not open.  Read-only transactions commit without
-    logging or publishing.  Raises only if the transaction-log append
-    itself fails (the transaction aborts first). *)
+    logging or publishing.  On a durable store [Ok v] returns only
+    after an fsync covered the bracket, and [v] is then the head or
+    older.  Raises only if the transaction-log write or its fsync
+    fails; the transaction aborts first, and so does every commit the
+    failed fsync would have covered. *)
 val commit : txn -> (int, commit_error) result
 
 (** Abort an open transaction (idempotent on aborted ones).
@@ -174,6 +186,11 @@ val replay :
 (** The [begin] seqs of the brackets still open, ascending. *)
 val open_brackets : replayer -> int list
 
+(** The transaction-log writer of a directory-backed store — exposed
+    so tests can read its durable offset ({!Tdp_store.Wal.writer_synced})
+    and sabotage its descriptor. *)
+val log_writer : t -> Wal.writer option
+
 (** The last durable (wal seq, txn seq) this store has absorbed: the
     wal.log record folded into the base plus the transaction-log
     writer position (0 without a writer).  What the [seq] protocol
@@ -212,8 +229,8 @@ val recover_text :
 (** Open a durable store directory ([snapshot.dump], [wal.log],
     [txn.log]; any may be absent): removes an orphaned snapshot
     [.tmp], recovers, repairs a torn or corrupt transaction-log tail,
-    and attaches a transaction-log writer ([sync] defaults to
-    fsync-per-record).  Subsequent commits are write-ahead logged into
+    and attaches a transaction-log writer ([sync], default [true],
+    fsyncs every commit's bracket, shared by concurrent committers).  Subsequent commits are write-ahead logged into
     [DIR/txn.log].
     @raise Database.Store_error, leaving [txn.log] untouched, when a
     record that decodes does not replay (see {!replay}). *)
@@ -225,11 +242,14 @@ val open_dir :
   opened
 
 (** Fold the current [main] head into a fresh atomic snapshot (with
-    [wal-seq]/[txn-seq] cursor headers) and truncate both logs.  Crash
-    safe at every point: replay skips records the snapshot already
+    [wal-seq]/[txn-seq] cursor headers) and truncate both logs.  Commits
+    still waiting for their fsync are synced and published first, so
+    the snapshot holds every bracket its [txn-seq] names.  Crash safe
+    at every point: replay skips records the snapshot already
     absorbed.  @raise Database.Store_error on a memory-only store or
     when more than one branch exists. *)
 val checkpoint : t -> unit
 
-(** Close the log writer; later store operations fail. *)
+(** Sync and publish pending commits, then close the log writer; later
+    store operations fail. *)
 val close : t -> unit

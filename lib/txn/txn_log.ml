@@ -87,3 +87,4 @@ let writer_open ?sync ~path ~next_seq () =
   Wal.writer_open ?sync ~magic ~path ~next_seq ()
 
 let append w r = Wal.append_payload w (payload_to_string r)
+let write w rs = Wal.write w (List.map payload_to_string rs)

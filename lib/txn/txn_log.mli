@@ -52,3 +52,8 @@ val writer_open : ?sync:bool -> path:string -> next_seq:int -> unit -> Wal.write
 (** Append one record; returns its sequence number.  Shares
     {!Tdp_store.Wal.append}'s failure atomicity (poisoning). *)
 val append : Wal.writer -> record -> int
+
+(** Write records with one flush and no fsync (see
+    {!Tdp_store.Wal.write}); returns the byte offset just past the
+    last, for {!Tdp_store.Wal.sync_upto}. *)
+val write : Wal.writer -> record list -> int

@@ -5,6 +5,7 @@ module Value = Tdp_store.Value
 module Wal = Tdp_store.Wal
 module Txn_log = Tdp_txn.Txn_log
 module Mvcc = Tdp_txn.Mvcc
+module Obs = Tdp_obs
 open Helpers
 
 let schema = Tdp_paper.Fig1.schema
@@ -409,6 +410,303 @@ let test_append_failure_poisons_writer () =
       Alcotest.(check string) "file rolled back to the record boundary"
         committed (read_file path))
 
+(* ---- group commit ---------------------------------------------------- *)
+
+let fsync_count () =
+  match List.assoc_opt "wal.fsync_ns" (Obs.Metrics.snapshot ()).histograms with
+  | Some h -> h.Obs.Metrics.count
+  | None -> 0
+
+(* Three batches written before any sync: the first sync_upto fsyncs
+   them all, the other two find their bytes covered.  Then a group
+   whose fsync fails: every member fails, the durable prefix stays. *)
+let test_sync_upto_shares_and_fails_as_a_group () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "t.log" in
+      let w = Wal.writer_create ~sync:true ~path ~next_seq:1 () in
+      let ends = List.map (fun p -> Wal.write w [ p; p ]) [ "a"; "b"; "c" ] in
+      Alcotest.(check int) "two records per batch" 7 (Wal.writer_seq w);
+      let shared =
+        Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+            Obs.Metrics.enable ();
+            Obs.Metrics.reset ();
+            List.iter (Wal.sync_upto w) (List.rev ends);
+            fsync_count ())
+      in
+      Alcotest.(check int) "one fsync covers three writes" 1 shared;
+      let synced = Wal.writer_synced w in
+      Alcotest.(check int) "synced to the end" (List.nth ends 2) synced;
+      let group = List.map (fun p -> Wal.write w [ p ]) [ "d"; "e" ] in
+      (* the fd now names a pipe: writes land, the fsync fails *)
+      let rd, wr = Unix.pipe () in
+      Fun.protect
+        ~finally:(fun () ->
+          Wal.close w;
+          Unix.close rd;
+          Unix.close wr)
+        (fun () ->
+          Unix.dup2 wr (Wal.writer_fd w);
+          (match Wal.sync_upto w (List.hd group) with
+          | () -> Alcotest.fail "fsync of a pipe must fail"
+          | exception Unix.Unix_error _ -> ());
+          (match Wal.sync_upto w (List.nth group 1) with
+          | () -> Alcotest.fail "the rest of the group must fail too"
+          | exception Wal.Wal_error _ -> ());
+          Wal.sync_upto w synced;
+          Alcotest.(check bool) "writer poisoned" true (Wal.writer_poisoned w);
+          Alcotest.(check int) "durable prefix unchanged" synced (Wal.writer_synced w);
+          match Wal.write w [ "f" ] with
+          | _ -> Alcotest.fail "a poisoned writer must refuse writes"
+          | exception Wal.Wal_error _ -> ()))
+
+(* The inputs of each case (commit counts, values, checkpoint pacing)
+   come from a seed that every failure message names;
+   [TDP_TXN_SEED=<seed>] replays those inputs (the interleaving of the
+   domains is the scheduler's). *)
+let group_seed () =
+  match Sys.getenv_opt "TDP_TXN_SEED" with
+  | Some s -> int_of_string s
+  | None ->
+      Random.self_init ();
+      Random.int 999_999
+
+let replay seed = Fmt.str "seed %d (replay: TDP_TXN_SEED=%d dune exec test/test_txn.exe)" seed seed
+
+(* A durable store (fsync on) holding [n] Employees, one row per
+   writer so concurrent commits never conflict. *)
+let durable_rows dir n =
+  let o = Mvcc.open_dir ~load_schema ~sync:true ~schema dir in
+  let t = Mvcc.begin_ o.Mvcc.store in
+  let oids = Array.init n (fun i -> new_employee t i) in
+  ignore (commit_exn t);
+  (o.Mvcc.store, oids)
+
+(* One update of [oid]'s pay rate: the txid and how the commit ended. *)
+let set_pay store oid v =
+  let t = Mvcc.begin_ store in
+  Mvcc.set_attr t oid (at "pay_rate") (Value.Float v);
+  (Mvcc.txid t, match Mvcc.commit t with r -> Ok r | exception e -> Error e)
+
+let in_domains n f = List.init n (fun w -> Domain.spawn (fun () -> f w)) |> List.map Domain.join
+
+let main_dump store = Mvcc.dump (Mvcc.head store ~branch:Mvcc.main_branch)
+
+(* The txids of the committed brackets in [dir]'s txn.log, in log
+   order, with the byte offset each commit record ends at. *)
+let logged_commits dir =
+  let d = Txn_log.decode (read_file (Filename.concat dir "txn.log")) in
+  List.filter_map
+    (fun (e : Txn_log.record Wal.framed) ->
+      match e.Wal.fvalue with
+      | Txn_log.Commit { txid } -> Some (txid, e.Wal.fends_at)
+      | _ -> None)
+    d.Wal.fentries
+
+let pay_values st n = Array.init n (fun _ -> float_of_int (Random.State.int st 10_000))
+
+let test_group_commit_two_writers () =
+  let seed = group_seed () in
+  let what = replay seed in
+  let st = Random.State.make [| seed |] in
+  let per_writer = 20 + Random.State.int st 30 in
+  let values = Array.init 2 (fun _ -> pay_values st per_writer) in
+  with_temp_dir (fun dir ->
+      let store, oids = durable_rows dir 2 in
+      let results, commits, fsyncs =
+        Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+            Obs.Metrics.enable ();
+            Obs.Metrics.reset ();
+            let results =
+              in_domains 2 (fun w ->
+                  Array.to_list (Array.map (set_pay store oids.(w)) values.(w)))
+            in
+            ( List.concat results,
+              Obs.Metrics.counter_value (Obs.Metrics.counter "txn.commit"),
+              fsync_count () ))
+      in
+      let acked =
+        List.filter_map
+          (fun (txid, r) -> match r with Ok (Ok _) -> Some txid | _ -> None)
+          results
+      in
+      Alcotest.(check int) (what ^ ": every disjoint commit acknowledged") (2 * per_writer)
+        (List.length acked);
+      Alcotest.(check int) (what ^ ": txn.commit counts exactly") (2 * per_writer) commits;
+      Alcotest.(check bool)
+        (Fmt.str "%s: %d fsyncs for %d commits" what fsyncs commits)
+        true (fsyncs <= commits);
+      let before = main_dump store in
+      Mvcc.close store;
+      let logged = List.map fst (logged_commits dir) in
+      List.iter
+        (fun txid ->
+          if not (List.mem txid logged) then
+            Alcotest.failf "%s: acknowledged txn %d is not in txn.log" what txid)
+        acked;
+      let o = Mvcc.open_dir ~load_schema ~schema dir in
+      Alcotest.(check int) (what ^ ": every bracket replays") (1 + (2 * per_writer))
+        o.Mvcc.txn_applied;
+      Alcotest.(check string) (what ^ ": reopen equals the last head") before
+        (main_dump o.Mvcc.store);
+      Array.iteri
+        (fun w oid ->
+          Alcotest.(check string)
+            (Fmt.str "%s: writer %d's last value" what w)
+            (Dump.value_to_string (Value.Float values.(w).(per_writer - 1)))
+            (Dump.value_to_string
+               (Mvcc.get_attr (Mvcc.head o.Mvcc.store ~branch:Mvcc.main_branch) oid
+                  (at "pay_rate"))))
+        oids;
+      Mvcc.close o.Mvcc.store)
+
+let test_group_fsync_failure () =
+  let seed = group_seed () in
+  let what = replay seed in
+  let st = Random.State.make [| seed |] in
+  let before_failure = 1 + Random.State.int st 5 in
+  let per_writer = 1 + Random.State.int st 10 in
+  with_temp_dir (fun dir ->
+      let store, oids = durable_rows dir 2 in
+      let acked =
+        List.map
+          (fun v ->
+            match set_pay store oids.(0) v with
+            | txid, Ok (Ok _) -> txid
+            | _ -> Alcotest.failf "%s: commit before the failure did not succeed" what)
+          (Array.to_list (pay_values st before_failure))
+      in
+      let head = Mvcc.head store ~branch:Mvcc.main_branch in
+      let w = Option.get (Mvcc.log_writer store) in
+      let synced = Wal.writer_synced w in
+      (* sabotage: the log's fd now names a pipe, so writes succeed and
+         the fsync that should cover them fails (EINVAL) *)
+      let rd, wr = Unix.pipe () in
+      Fun.protect
+        ~finally:(fun () ->
+          Mvcc.close store;
+          Unix.close rd;
+          Unix.close wr)
+        (fun () ->
+          Unix.dup2 wr (Wal.writer_fd w);
+          let results =
+            List.concat
+              (in_domains 2 (fun i ->
+                   Array.to_list (Array.map (set_pay store oids.(i)) (pay_values st per_writer))))
+          in
+          List.iter
+            (fun (txid, r) ->
+              match r with
+              | Ok (Ok v) ->
+                  Alcotest.failf "%s: txn %d committed as %d after the failure" what txid v
+              | Ok (Error e) ->
+                  Alcotest.failf "%s: txn %d: %s" what txid (Mvcc.commit_error_message e)
+              | Error _ -> ())
+            results;
+          Alcotest.(check bool) (what ^ ": a group fsync failed") true
+            (List.exists
+               (fun (_, r) -> match r with Error (Unix.Unix_error _) -> true | _ -> false)
+               results);
+          let after = Mvcc.head store ~branch:Mvcc.main_branch in
+          Alcotest.(check int) (what ^ ": head version unchanged") (Mvcc.version head)
+            (Mvcc.version after);
+          Alcotest.(check string) (what ^ ": head unchanged") (Mvcc.dump head) (Mvcc.dump after);
+          Alcotest.(check bool) (what ^ ": writer poisoned") true (Wal.writer_poisoned w);
+          Alcotest.(check int) (what ^ ": durable prefix unchanged") synced (Wal.writer_synced w);
+          (* the tip fell back: a fresh transaction sees the old head *)
+          let t = Mvcc.begin_ store in
+          Alcotest.(check int) (what ^ ": new txn starts at the head") (Mvcc.version head)
+            (Mvcc.version (Mvcc.view t));
+          Mvcc.abort t);
+      Alcotest.(check (list int)) (what ^ ": txn.log holds exactly the acknowledged brackets")
+        (1 :: acked)
+        (List.map fst (logged_commits dir));
+      let o = Mvcc.open_dir ~load_schema ~schema dir in
+      Alcotest.(check string) (what ^ ": reopen equals the last acknowledged head")
+        (Mvcc.dump head) (main_dump o.Mvcc.store);
+      Mvcc.close o.Mvcc.store)
+
+let test_head_durable_before_visible () =
+  let seed = group_seed () in
+  let what = replay seed in
+  let st = Random.State.make [| seed |] in
+  let per_writer = 30 + Random.State.int st 30 in
+  let values = Array.init 2 (fun _ -> pay_values st per_writer) in
+  with_temp_dir (fun dir ->
+      let store, oids = durable_rows dir 2 in
+      let w = Option.get (Mvcc.log_writer store) in
+      let writing = Atomic.make 2 in
+      (* the reader reads the head, then the durable offset; it keeps
+         the first sighting of each version, whose offset is smallest *)
+      let reader () =
+        let seen = ref [] and last = ref (-1) in
+        while Atomic.get writing > 0 do
+          let v = Mvcc.version (Mvcc.head store ~branch:Mvcc.main_branch) in
+          let synced = Wal.writer_synced w in
+          if v <> !last then begin
+            seen := (v, synced) :: !seen;
+            last := v
+          end
+        done;
+        !seen
+      in
+      let r = Domain.spawn reader in
+      ignore
+        (in_domains 2 (fun i ->
+             Fun.protect
+               ~finally:(fun () -> Atomic.decr writing)
+               (fun () -> Array.iter (fun v -> ignore (set_pay store oids.(i) v)) values.(i))));
+      let seen = Domain.join r in
+      Mvcc.close store;
+      (* version k is the k-th committed bracket of the log *)
+      let ends = Array.of_list (List.map snd (logged_commits dir)) in
+      List.iter
+        (fun (v, synced) ->
+          if v >= 1 && ends.(v - 1) > synced then
+            Alcotest.failf "%s: version %d visible with its bracket ending at byte %d, synced %d"
+              what v ends.(v - 1) synced)
+        seen)
+
+let test_checkpoint_races_committers () =
+  let seed = group_seed () in
+  let what = replay seed in
+  let st = Random.State.make [| seed |] in
+  let per_writer = 60 + Random.State.int st 60 in
+  let pause = 0.0001 *. float_of_int (Random.State.int st 4) in
+  let values = Array.init 2 (fun _ -> pay_values st per_writer) in
+  with_temp_dir (fun dir ->
+      let store, oids = durable_rows dir 2 in
+      let writing = Atomic.make 2 in
+      let checkpoints = ref 0 in
+      let checkpointer =
+        Domain.spawn (fun () ->
+            while Atomic.get writing > 0 do
+              Mvcc.checkpoint store;
+              incr checkpoints;
+              Unix.sleepf pause
+            done;
+            !checkpoints)
+      in
+      let results =
+        in_domains 2 (fun i ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.decr writing)
+              (fun () -> Array.map (fun v -> snd (set_pay store oids.(i) v)) values.(i)))
+      in
+      let checkpoints = Domain.join checkpointer in
+      List.iter
+        (Array.iter (function
+          | Ok (Ok _) -> ()
+          | _ -> Alcotest.failf "%s: a commit racing checkpoints failed" what))
+        results;
+      let last = main_dump store in
+      Mvcc.close store;
+      let o = Mvcc.open_dir ~load_schema ~schema dir in
+      Alcotest.(check string)
+        (Fmt.str "%s: reopen equals the last acknowledged head (%d checkpoints)" what
+           checkpoints)
+        last (main_dump o.Mvcc.store);
+      Mvcc.close o.Mvcc.store)
+
 (* ---- Database and Mvcc apply one rule set --------------------------- *)
 
 (* Fig. 1 plus a type with a reference to Employee and one to itself,
@@ -558,6 +856,16 @@ let suite =
       `Quick test_checkpoint_crash_before_truncate;
     Alcotest.test_case "failed append poisons the writer" `Quick
       test_append_failure_poisons_writer;
+    Alcotest.test_case "sync_upto shares one fsync and fails as a group" `Quick
+      test_sync_upto_shares_and_fails_as_a_group;
+    Alcotest.test_case "group commit: two writers share fsyncs" `Quick
+      test_group_commit_two_writers;
+    Alcotest.test_case "group commit: a failed fsync aborts the whole group" `Quick
+      test_group_fsync_failure;
+    Alcotest.test_case "group commit: a head is durable before it is visible" `Quick
+      test_head_durable_before_visible;
+    Alcotest.test_case "group commit: checkpoint races two committers" `Quick
+      test_checkpoint_races_committers;
     QCheck_alcotest.to_alcotest prop_rules_differential
   ]
 
